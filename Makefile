@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-adaptive bench-vm bench-ingest bench-obs trace-smoke obs-smoke
+.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-adaptive bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick trace-smoke obs-smoke
 
 all: check
 
@@ -59,6 +59,21 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck -strict -require chain,vm-fuse,vm-vec trace-vm-smoke.json
 	$(GO) test -race -count=1 ./internal/trace ./internal/debugz ./internal/obs ./cmd/tracecheck
 	@rm -f trace-smoke.json trace-vm-smoke.json
+
+# bench-ledger-test runs the performance ledger's own unit, oracle and
+# smoke tests. benchmark/ is a nested module, so the root `go test ./...`
+# (and therefore `make test`) does not see them.
+bench-ledger-test:
+	cd benchmark && $(GO) test ./...
+
+# bench-ledger-quick runs every ledger workload in its ~1 s smoke mode,
+# untraced. The numbers are not comparable; the point is the exit status:
+# run.sh exits non-zero when a workload's oracle finds a lost, duplicated,
+# reordered or wrong tuple, or the run cannot be made.
+bench-ledger-quick:
+	set -e; for w in spl_logins spl_chain fanout_hop ingest_paced ingest_overload; do \
+		bash benchmark/run.sh --workload $$w --quick --trace 0; \
+	done
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

@@ -24,6 +24,37 @@ type Submitter interface {
 	Submit(t tuple.Tuple, outPort int)
 }
 
+// BatchSubmitter is implemented by submitters that can take a run of
+// tuples for one output port at once (the dynamic scheduler's contexts:
+// one sequence-counter add, one clock read and one queue operation per
+// subscriber instead of one per tuple). The batch is delivered in slice
+// order, exactly as so many Submit calls would. The callee may overwrite
+// the runtime-owned fields (Port, Seq, Stamp) of ts in place; the slice
+// is the caller's again when the call returns.
+type BatchSubmitter interface {
+	Submitter
+	SubmitBatch(ts []tuple.Tuple, outPort int)
+}
+
+// SourceBatch is how many tuples a source that produces faster than it
+// is drained should gather before each SubmitBatch: the scheduler's own
+// batch size, so one call fills one queue batch.
+const SourceBatch = 32
+
+// SubmitBatch submits ts in order on outPort: through out's SubmitBatch
+// when it has one, through one Submit per tuple otherwise (the manual and
+// dedicated models, wrapping submitters). Sources call this instead of
+// looping over Submit so they have a single code path.
+func SubmitBatch(out Submitter, ts []tuple.Tuple, outPort int) {
+	if b, ok := out.(BatchSubmitter); ok {
+		b.SubmitBatch(ts, outPort)
+		return
+	}
+	for i := range ts {
+		out.Submit(ts[i], outPort)
+	}
+}
+
 // Operator contains the logic for processing incoming tuples. Process is
 // invoked with exclusive access to the input port's tuple sequence, but
 // NOT necessarily by the same thread every time, and different input

@@ -248,3 +248,52 @@ func TestChainable(t *testing.T) {
 		t.Fatalf("Stats.Chainable = %d, want 2", st.Chainable)
 	}
 }
+
+// loopSub records Submit calls; batchSub also takes batches and counts
+// them.
+type loopSub struct {
+	got   []tuple.Tuple
+	ports []int
+}
+
+func (l *loopSub) Submit(t tuple.Tuple, port int) {
+	l.got = append(l.got, t)
+	l.ports = append(l.ports, port)
+}
+
+type batchSub struct {
+	loopSub
+	batches int
+}
+
+func (b *batchSub) SubmitBatch(ts []tuple.Tuple, port int) {
+	b.batches++
+	for _, t := range ts {
+		b.Submit(t, port)
+	}
+}
+
+// TestSubmitBatchHelper: the helper hands a BatchSubmitter the slice in
+// one call and falls back to an in-order Submit loop for anything else,
+// so a source written against it behaves the same under every model.
+func TestSubmitBatchHelper(t *testing.T) {
+	ts := []tuple.Tuple{tuple.NewData(1), tuple.Window(), tuple.NewData(2)}
+	var plain loopSub
+	SubmitBatch(&plain, ts, 3)
+	var batched batchSub
+	SubmitBatch(&batched, ts, 3)
+	SubmitBatch(&batched, nil, 3)
+	if batched.batches != 2 {
+		t.Fatalf("BatchSubmitter saw %d SubmitBatch calls, want 2", batched.batches)
+	}
+	for _, got := range []*loopSub{&plain, &batched.loopSub} {
+		if len(got.got) != len(ts) {
+			t.Fatalf("delivered %d tuples, want %d", len(got.got), len(ts))
+		}
+		for i := range ts {
+			if got.got[i].Kind != ts[i].Kind || got.got[i].Words != ts[i].Words || got.ports[i] != 3 {
+				t.Fatalf("position %d: got %v on port %d", i, got.got[i], got.ports[i])
+			}
+		}
+	}
+}

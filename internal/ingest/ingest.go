@@ -178,8 +178,9 @@ type Config struct {
 	OpName string
 }
 
-// item is one queued admission: the tuple and its enqueue time, kept so
-// a shed-oldest victim's staleness can be measured.
+// item is one queued admission: the tuple and — only where a shed-oldest
+// victim's staleness is measured (Config.ShedAge on a ShedOldest tenant),
+// 0 otherwise — its enqueue time.
 type item struct {
 	t  tuple.Tuple
 	at int64
@@ -241,6 +242,9 @@ type Server struct {
 	drainNs   atomic.Int64
 	// lastPoll is the pump's overload-poll throttle; pump-thread only.
 	lastPoll int64
+	// pumpBuf gathers one drainTenant's tuples for a single SubmitBatch;
+	// pump-thread only, reused across rounds.
+	pumpBuf []tuple.Tuple
 
 	emitMu sync.Mutex
 }
@@ -446,8 +450,12 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, tid int) {
 	var buf [xport.FrameSize]byte
 	for !s.draining.Load() {
 		// The deadline covers one whole frame: an idle client times out
-		// between frames, a slow-loris dribbler times out inside one.
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		// between frames, a slow-loris dribbler times out inside one. It
+		// is re-armed only ahead of a read that can block; a frame already
+		// buffered is served from memory under the previous deadline.
+		if br.Buffered() < xport.FrameSize {
+			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		}
 		if inj.Should(fault.ClientSlow) {
 			// A wedged reader: frames stack up in the kernel buffer and
 			// back-pressure the client, exactly like a stalled consumer.
@@ -623,7 +631,10 @@ func (s *Server) tryPush(tn *tenant, t tuple.Tuple) bool {
 // tryPushWait pushes unless the queue is genuinely full, absorbing
 // PushBusy (a consumer mid-pop) with a brief spin.
 func (s *Server) tryPushWait(tn *tenant, t tuple.Tuple) bool {
-	it := item{t: t, at: time.Now().UnixNano()}
+	it := item{t: t}
+	if s.cfg.ShedAge != nil && tn.cfg.Policy == ShedOldest {
+		it.at = time.Now().UnixNano()
+	}
 	for {
 		switch tn.q.PushEx(it) {
 		case lfq.PushOK:
@@ -694,30 +705,24 @@ func (s *Server) pumpRound(out graph.Submitter, batch int) int {
 // every offered tuple ends in exactly one of admitted, shed, throttled,
 // rejected, or is still queued.
 func (s *Server) drainTenant(out graph.Submitter, tn *tenant, batch int) int {
-	var po []tuple.Tuple
+	buf := s.pumpBuf[:0]
 	tn.poMu.Lock()
-	if len(tn.puncts) > 0 {
-		po, tn.puncts = tn.puncts, nil
-	}
+	buf = append(buf, tn.puncts...)
+	tn.puncts = nil
 	tn.poMu.Unlock()
-	for _, t := range po {
-		out.Submit(t, 0)
-	}
-	n := 0
 	var it item
-	for n < batch {
-		if !tn.q.Pop(&it) {
-			break
-		}
-		out.Submit(it.t, 0)
-		n++
+	for n := 0; n < batch && tn.q.Pop(&it); n++ {
+		buf = append(buf, it.t)
 	}
-	if tot := n + len(po); tot > 0 {
+	s.pumpBuf = buf
+	tot := len(buf)
+	if tot > 0 {
+		graph.SubmitBatch(out, buf, 0)
 		tn.admitted.Add(uint64(tot))
 		s.met.Admitted.Add(int(tn.id), uint64(tot))
 		s.emit(trace.KindAdmit, tn.id, uint32(tot))
 	}
-	return n + len(po)
+	return tot
 }
 
 // pollOverload refreshes the global overload gate from the runtime

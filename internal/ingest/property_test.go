@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"streams/internal/ingest"
+	"streams/internal/metrics"
 	"streams/internal/ops"
 	"streams/internal/pe"
 	"streams/internal/tuple"
@@ -109,8 +110,11 @@ func TestBlockNoAdmittedTupleDropped(t *testing.T) {
 // delivered even though almost all data around it was shed.
 func TestShedOldestFIFOAndPunctSurvival(t *testing.T) {
 	const N, every = 2000, 100 // 20 window marks among 2000 tuples
+	began := time.Now()
+	shedAge := metrics.NewHistogram(1)
 	srv, err := ingest.NewServer(ingest.Config{
 		Tenants: []ingest.TenantConfig{{Name: "acme", Policy: ingest.ShedOldest, QueueCap: 16}},
+		ShedAge: shedAge,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +193,14 @@ func TestShedOldestFIFOAndPunctSurvival(t *testing.T) {
 	// Conservation: every data tuple was either shed or reached the sink.
 	if got := sn.Totals.Shed + snk.Count(); got != N {
 		t.Fatalf("shed %d + delivered %d != offered %d", sn.Totals.Shed, snk.Count(), N)
+	}
+	// Every victim's queue residence was measured from a real enqueue
+	// stamp (the stamp is only taken for tenants that can have victims;
+	// a zero stamp would read as decades).
+	ages := shedAge.Snapshot()
+	if ages.Total != sn.Totals.Shed || ages.Max() > 2*time.Since(began) {
+		t.Fatalf("shed-age histogram has %d samples, max %v; want %d samples within the test's %v",
+			ages.Total, ages.Max(), sn.Totals.Shed, time.Since(began))
 	}
 }
 

@@ -63,25 +63,32 @@ func (g *Generator) Name() string {
 // Process implements graph.Operator; sources receive no input.
 func (g *Generator) Process(graph.Submitter, tuple.Tuple, int) {}
 
-// Run implements graph.Source.
+// Run implements graph.Source. Tuples are generated and submitted a
+// batch at a time; stop is polled between batches, so nothing generated
+// is ever left unsubmitted.
 func (g *Generator) Run(out graph.Submitter, stop <-chan struct{}) {
-	for i := uint64(0); g.Limit == 0 || i < g.Limit; i++ {
+	buf := make([]tuple.Tuple, 0, graph.SourceBatch)
+	for i := uint64(0); g.Limit == 0 || i < g.Limit; {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		var t tuple.Tuple
-		if g.Payload != nil {
-			t = g.Payload(i)
-		} else {
-			t = tuple.NewData(i)
+		for ; len(buf) < cap(buf) && (g.Limit == 0 || i < g.Limit); i++ {
+			var t tuple.Tuple
+			if g.Payload != nil {
+				t = g.Payload(i)
+			} else {
+				t = tuple.NewData(i)
+			}
+			if g.Stamp {
+				t.Words[tuple.PayloadWords-1] = uint64(time.Now().UnixNano())
+			}
+			buf = append(buf, t)
 		}
-		if g.Stamp {
-			t.Words[tuple.PayloadWords-1] = uint64(time.Now().UnixNano())
-		}
-		out.Submit(t, 0)
-		g.produced.Store(i + 1)
+		graph.SubmitBatch(out, buf, 0)
+		g.produced.Store(i)
+		buf = buf[:0]
 	}
 }
 

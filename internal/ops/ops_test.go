@@ -254,3 +254,38 @@ func TestTopologyString(t *testing.T) {
 		t.Fatal("Workers() wrong")
 	}
 }
+
+// batchCollector is a collector that also takes batches, recording
+// their sizes.
+type batchCollector struct {
+	collector
+	sizes []int
+}
+
+func (c *batchCollector) SubmitBatch(ts []tuple.Tuple, outPort int) {
+	c.sizes = append(c.sizes, len(ts))
+	for _, t := range ts {
+		c.Submit(t, outPort)
+	}
+}
+
+// TestGeneratorSubmitsBatches: against a batching submitter the
+// generator hands over full batches and one short tail, every tuple
+// once and in order, and Produced counts only what was submitted.
+func TestGeneratorSubmitsBatches(t *testing.T) {
+	const n = 2*graph.SourceBatch + 6
+	g := &Generator{Limit: n}
+	c := &batchCollector{}
+	g.Run(c, make(chan struct{}))
+	if want := []int{graph.SourceBatch, graph.SourceBatch, 6}; len(c.sizes) != 3 || c.sizes[0] != want[0] || c.sizes[1] != want[1] || c.sizes[2] != want[2] {
+		t.Fatalf("batch sizes %v, want %v", c.sizes, want)
+	}
+	for i, tp := range c.got {
+		if tp.Words[0] != uint64(i) {
+			t.Fatalf("tuple %d carries %d", i, tp.Words[0])
+		}
+	}
+	if len(c.got) != n || g.Produced() != n {
+		t.Fatalf("submitted %d, Produced %d, want %d", len(c.got), g.Produced(), n)
+	}
+}

@@ -186,7 +186,7 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 		s.tr.Emit(tid, trace.KindVMFuse, trace.PackPair(int32(nSegs), uint32(port)))
 	}
 	lastP := s.g.Ports[fr.ports[nSegs-1]]
-	ec := s.acquireCtx(lastP, tid, thr, true)
+	ec := s.acquireCtx(lastP, tid, thr)
 	if ec.chainLeft = c.chainLeft - nSegs; ec.chainLeft < 0 {
 		ec.chainLeft = 0
 	}

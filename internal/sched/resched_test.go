@@ -59,7 +59,7 @@ func TestReschedSuspensionReleasesLock(t *testing.T) {
 	}
 	// The scheduler thread's goroutine is never started; the test plays
 	// the thread by calling reSchedule on its behalf.
-	c := s.acquireCtx(g.Ports[0], 0, thr, false)
+	c := s.acquireCtx(g.Ports[0], 0, thr)
 	stuck := tuple.NewData(99)
 	stuck.Port = port
 	done := make(chan struct{})

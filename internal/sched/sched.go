@@ -172,9 +172,11 @@ type Config struct {
 	// of abandoning the search (§4.1.3 argues abandoning is better).
 	RetryOnContention bool
 	// BlockOnFullQueue makes producers wait for queue space instead of
-	// draining the blocking queue themselves; a bounded escape hatch
-	// falls back to reSchedule so the ablation cannot deadlock the PE
-	// (§4.1.4 explains why self-help is the design). Blocking producers
+	// draining the blocking queue themselves; after a fixed, short wait
+	// (blockOnFullAttempts) an escape hatch falls back to reSchedule, and
+	// pushes made from inside that self-help drain do not wait again, so
+	// the ablation cannot deadlock or stall the PE (§4.1.4 explains why
+	// self-help is the design). Blocking producers
 	// only stay unwedged when the free structure rotates threads across
 	// ports so every queue stays shallow — the approximately-LRU service
 	// order of the global FIFO list. The sharded list's LIFO affinity
@@ -343,11 +345,16 @@ type Scheduler struct {
 	// thread commits to before noticing suspension and the submit-side
 	// latency a coalesced tuple can accrue.
 	batchCap int
-	// bufPool recycles drain and coalescing buffers for contexts that
-	// cannot use the per-thread batch buffer: reSchedule (which nests
-	// inside an executing batch) and source threads (which have no
-	// Thread).
+	// bufPool recycles drain and coalescing buffers beyond the
+	// per-thread spares, and for source threads (which have no Thread).
 	bufPool sync.Pool
+	// slotBase[node][outPort] is the ordinal of that output port's first
+	// subscriber among all of the node's (outPort, subscriber) pairs, and
+	// numSlots[node] the size of the node's coalescing slot table: the
+	// pair count rounded up to a power of two, capped at maxSlots. Both
+	// are written once at New (see ctx.slots).
+	slotBase [][]int32
+	numSlots []int
 	// ctxPool recycles execution contexts for thread-less producers
 	// (source threads draining through reSchedule); scheduler threads use
 	// their own free list instead (Thread.ctxCache).
@@ -447,6 +454,8 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		queues:             make([]*lfq.Enforcer[tuple.Tuple], nPorts),
 		freePorts:          fl,
 		seqs:               make([][]atomic.Uint64, len(g.Nodes)),
+		slotBase:           make([][]int32, len(g.Nodes)),
+		numSlots:           make([]int, len(g.Nodes)),
 		remainingProducers: make([]atomic.Int32, nPorts),
 		nodeOpenIns:        make([]atomic.Int32, len(g.Nodes)),
 		portClosed:         make([]atomic.Bool, nPorts),
@@ -514,6 +523,17 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	for _, n := range g.Nodes {
 		s.seqs[n.ID] = make([]atomic.Uint64, n.NumOut)
 		s.nodeOpenIns[n.ID].Store(int32(n.NumIn))
+		s.slotBase[n.ID] = make([]int32, n.NumOut)
+		dests := 0
+		for out, subs := range n.Outs {
+			s.slotBase[n.ID][out] = int32(dests)
+			dests += len(subs)
+		}
+		slots := 1
+		for slots < dests && slots < maxSlots {
+			slots *= 2
+		}
+		s.numSlots[n.ID] = slots
 	}
 	s.openPorts.Store(int32(nPorts))
 	s.sourcesLeft.Store(int32(len(g.SourceNodes)))
@@ -786,48 +806,58 @@ type ctx struct {
 	tid  int
 	thr  *Thread
 
-	// Submit-side coalescing. Contexts created by executeBatch set
-	// coalesce; consecutive submissions to the same destination port then
-	// accumulate and move with a single Enforcer.PushN. Source contexts
-	// leave coalesce unset and push immediately: a source ctx lives for
-	// the whole Run, so buffered tuples would have no flush point and
-	// could be delayed arbitrarily long by a slow source.
-	//
-	// Coalescing activates lazily so single-submission operator
-	// invocations (the overwhelmingly common case on a pipeline) pay one
-	// tuple copy and no buffer traffic: the first submission is held
-	// inline in pending; only a second consecutive submission to the
-	// same port acquires a batch buffer. At most one of the buffer
-	// (coalLen > 0) and pending (hasPending) is active at a time, and
-	// pendPort is the destination of whichever it is.
 	// stamp marks source-thread contexts when latency measurement is on:
 	// each submitted data tuple is stamped with the wall-clock time so
 	// the sink-drain seam can charge the end-to-end latency histogram.
 	stamp bool
 
-	coalesce   bool
-	hasPending bool
-	pendPort   int32
-	coalLen    int
-	pending    tuple.Tuple
-	coal       []tuple.Tuple  // acquired on the 2nd consecutive same-port submit
-	coalBuf    *[]tuple.Tuple // coal's pooled handle, re-pooled by endCoalesce
+	// Submit-side scatter coalescing. Every context that drains a port
+	// (schedule, tryChain, tryFused, reSchedule) has a slot table: its
+	// submissions accumulate per destination in slots and each slot
+	// moves with one chain link or one Enforcer.PushN. The table is a
+	// direct-mapped cache of at most maxSlots entries indexed by the
+	// node's (outPort, subscriber) ordinal (slotBase[outPort]+subscriber,
+	// precomputed at New): a node with one destination has exactly one
+	// slot, a w<=maxSlots splitter one per worker, and a wider fan-out
+	// wraps, so colliding destinations evict each other and degrade to a
+	// push per tuple. That caps what one context can hold at
+	// maxSlots*batchCap tuples whatever the fan-out. Source contexts have
+	// no table (slots nil) and push at once: a source ctx lives for the
+	// whole Run, so a held tuple would have no flush point; sources
+	// batch explicitly through SubmitBatch instead.
+	slotBase []int32
+	slots    []slot
 
 	// chainLeft is how many more inline chain links this frame's
 	// flushes may open: Config.ChainDepth on a top-level drain frame,
-	// parent-1 on chained frames, 0 on source and reSchedule frames
-	// (which never chain). Checked by deliver before any dynamic chain
-	// test, so disabled chaining costs one integer compare per flush.
+	// parent-1 on chained frames (0 = depth exhausted, metered), -1 on
+	// reSchedule frames, which never chain. Checked by deliver before
+	// any dynamic chain test, so disabled chaining costs one integer
+	// compare per flush.
 	chainLeft int
-	// one is scratch for delivering the lone pending tuple through the
-	// same batched deliver path the coalesce buffer uses, without
-	// allocating a slice.
-	one [1]tuple.Tuple
 
 	// nextFree chains recycled contexts on their thread's free list
 	// (Thread.ctxCache); meaningful only between releaseCtx and the next
 	// acquireCtx.
 	nextFree *ctx
+}
+
+// maxSlots bounds a context's slot table, and with it the tuples one
+// context can hold back (maxSlots*batchCap) and the buffers it can
+// borrow, independent of the executing node's fan-out.
+const maxSlots = 16
+
+// slot holds the tuples one context has coalesced for one destination
+// port. It fills lazily, so single-submission operator invocations (the
+// overwhelmingly common case on a pipeline) pay one tuple copy and no
+// buffer traffic: the first tuple is held inline in first, and only a
+// second tuple for the same destination borrows a batch buffer, which
+// the slot then keeps until endCoalesce.
+type slot struct {
+	n     int   // tuples held; in *buf when buf != nil, else in first
+	port  int32 // their destination
+	buf   *[]tuple.Tuple
+	first [1]tuple.Tuple
 }
 
 // Submit implements graph.Submitter.
@@ -836,116 +866,147 @@ func (c *ctx) Submit(t tuple.Tuple, outPort int) {
 	if outPort < 0 || outPort >= node.NumOut {
 		panic(fmt.Sprintf("sched: operator %s submitted to nonexistent output port %d", node.Op.Name(), outPort))
 	}
-	seq := c.s.seqs[node.ID][outPort].Add(1) - 1
+	t.Seq = c.s.seqs[node.ID][outPort].Add(1) - 1
 	if c.stamp && t.Kind == tuple.Data {
 		t.Stamp = time.Now().UnixNano()
 	}
-	for _, pid := range node.Outs[outPort] {
-		t2 := t
-		t2.Port = int32(pid)
-		t2.Seq = seq
-		if c.coalesce {
-			c.buffer(t2)
+	for j, pid := range node.Outs[outPort] {
+		t.Port = int32(pid)
+		if c.slots != nil {
+			c.buffer(int(c.slotBase[outPort])+j, &t)
 		} else {
-			c.s.push(t2, c)
+			c.s.push(t, c)
 		}
 	}
 }
 
-// buffer records t for coalesced submission. Tuples for one port are
-// buffered and flushed in submission order, so the per-stream FIFO
-// guarantee is untouched; only the interleaving across different
-// destination ports can differ from unbuffered submission, which no
-// ordering requirement covers.
-func (c *ctx) buffer(t tuple.Tuple) {
-	if c.coalLen > 0 {
-		// An active batch: extend it, or flush on a port change / full
-		// buffer and start over from a lone pending tuple.
-		if c.pendPort == t.Port && c.coalLen < len(c.coal) {
-			c.coal[c.coalLen] = t
-			c.coalLen++
-			return
-		}
-		c.flushCoalesce()
-	} else if c.hasPending {
-		if c.pendPort == t.Port && c.s.batchCap > 1 {
-			// Second consecutive submission to one port: this invocation
-			// is actually batching, so now pay for a buffer.
-			if c.coal == nil {
-				c.coalBuf = c.s.acquireBatch(c.thr)
-				c.coal = *c.coalBuf
-			}
-			c.coal[0] = c.pending
-			c.coal[1] = t
-			c.coalLen = 2
-			c.hasPending = false
-			return
-		}
-		c.hasPending = false
-		c.one[0] = c.pending
-		c.deliver(c.pending.Port, c.one[:1])
+// SubmitBatch implements graph.BatchSubmitter: ts goes to every
+// subscriber of outPort with one sequence-counter add and one clock read
+// for the whole batch. Port, Seq and Stamp of the caller's tuples are
+// overwritten. A source context hands each subscriber the batch through
+// deliver (one PushN, remainder in order through push/reSchedule); a
+// drain context buffers it like so many Submit calls.
+func (c *ctx) SubmitBatch(ts []tuple.Tuple, outPort int) {
+	node := c.node
+	if outPort < 0 || outPort >= node.NumOut {
+		panic(fmt.Sprintf("sched: operator %s submitted to nonexistent output port %d", node.Op.Name(), outPort))
 	}
-	c.pending = t
-	c.pendPort = t.Port
-	c.hasPending = true
+	if len(ts) == 0 {
+		return
+	}
+	seq := c.s.seqs[node.ID][outPort].Add(uint64(len(ts))) - uint64(len(ts))
+	var now int64
+	if c.stamp {
+		now = time.Now().UnixNano()
+	}
+	for i := range ts {
+		ts[i].Seq = seq + uint64(i)
+		if now != 0 && ts[i].Kind == tuple.Data {
+			ts[i].Stamp = now
+		}
+	}
+	for j, pid := range node.Outs[outPort] {
+		for i := range ts {
+			ts[i].Port = int32(pid)
+		}
+		if c.slots == nil {
+			c.deliver(int32(pid), ts)
+			continue
+		}
+		for i := range ts {
+			c.buffer(int(c.slotBase[outPort])+j, &ts[i])
+		}
+	}
 }
 
-// flushCoalesce delivers the buffered tuples: an inline chain link when
-// the destination is eligible, one batch push otherwise.
-func (c *ctx) flushCoalesce() {
-	n := c.coalLen
+// buffer records *t, already routed and stamped, in the slot of its
+// destination ordinal. Tuples for one destination are buffered and
+// flushed in submission order, so the per-stream FIFO guarantee is
+// untouched; only the interleaving across different destination ports
+// can differ from unbuffered submission, which no ordering requirement
+// covers.
+func (c *ctx) buffer(ord int, t *tuple.Tuple) {
+	sl := &c.slots[ord&(len(c.slots)-1)]
+	if sl.n > 0 && (sl.port != t.Port || sl.n == c.s.batchCap) {
+		c.flushSlot(sl) // evicted by a colliding destination, or full
+	}
+	sl.port = t.Port
+	if sl.buf == nil {
+		if sl.n == 0 {
+			sl.first[0] = *t
+			sl.n = 1
+			return
+		}
+		// Second tuple for one destination: this drain is actually
+		// batching, so now pay for a buffer.
+		sl.buf = c.s.acquireBatch(c.thr)
+		(*sl.buf)[0] = sl.first[0]
+	}
+	(*sl.buf)[sl.n] = *t
+	sl.n++
+}
+
+// flushSlot delivers what a slot holds and leaves it empty (keeping its
+// buffer).
+func (c *ctx) flushSlot(sl *slot) {
+	n := sl.n
 	if n == 0 {
 		return
 	}
 	if inj := c.s.inj; inj != nil {
 		inj.StallFault() // chaos seam: let the destination queue run full
 	}
-	c.coalLen = 0
-	c.deliver(c.pendPort, c.coal[:n])
+	sl.n = 0
+	if sl.buf != nil {
+		c.deliver(sl.port, (*sl.buf)[:n])
+	} else {
+		c.deliver(sl.port, sl.first[:])
+	}
 }
 
-// deliver moves a flushed batch (every tuple destined for port) to its
+// deliver moves a batch (every tuple destined for port) to its
 // destination: the inline chain path when this frame may still chain
-// and the port qualifies, the queue otherwise. On a partial push (queue
-// full) or a contended producer lock the remainder falls back tuple by
-// tuple through push/reSchedule, in order — exactly the back-pressure
-// path unbuffered submission takes, so blocking semantics are
-// unchanged.
+// and the port qualifies, the queue otherwise. When the queue is full
+// or its producer lock contended, the next tuple goes through
+// push/reSchedule — exactly the back-pressure path unbuffered submission
+// takes, so blocking semantics are unchanged — and the rest follows as a
+// batch again, in order, into the space that made.
 func (c *ctx) deliver(port int32, batch []tuple.Tuple) {
 	s := c.s
 	if c.chainLeft > 0 {
 		if s.tryChain(c, port, batch) {
 			return
 		}
-	} else if s.chainDepth > 0 && c.thr != nil && s.chainable[port] {
+	} else if c.chainLeft == 0 && s.chainDepth > 0 && c.thr != nil && s.chainable[port] {
 		// A chainable destination reached with the link budget spent:
 		// meter the depth stop so chain-length tuning has data. Only a
 		// depth-exhausted chained frame can get here — source frames
-		// (thr nil) are excluded above, and reSchedule frames never
-		// reach deliver because they do not coalesce.
+		// (thr nil) and reSchedule frames (chainLeft -1) are excluded.
 		s.chains.DepthStops.Add(c.tid, 1)
 		s.emitChainStop(c.tid, trace.ChainStopDepth, port)
 	}
-	pushed := s.queues[port].PushN(batch)
-	for i := pushed; i < len(batch); i++ {
-		s.push(batch[i], c)
+	q := s.queues[port]
+	for len(batch) > 0 {
+		n := q.PushN(batch)
+		if n == 0 {
+			s.push(batch[0], c)
+			n = 1
+		}
+		batch = batch[n:]
 	}
 }
 
-// endCoalesce flushes whatever is still held — the batch buffer or the
-// lone pending tuple — and returns the buffer. Every executeBatch calls
-// it before returning, so no tuple outlives the batch that submitted it.
+// endCoalesce flushes every slot and returns the borrowed buffers. Every
+// drain calls it before releasing its port's consumer lock, so no tuple
+// outlives the drain that submitted it.
 func (c *ctx) endCoalesce() {
-	c.flushCoalesce()
-	if c.hasPending {
-		c.hasPending = false
-		c.one[0] = c.pending
-		c.deliver(c.pending.Port, c.one[:1])
-	}
-	if c.coal != nil {
-		c.s.releaseBatch(c.thr, c.coalBuf)
-		c.coal = nil
-		c.coalBuf = nil
+	for i := range c.slots {
+		sl := &c.slots[i]
+		c.flushSlot(sl)
+		if sl.buf != nil {
+			c.s.releaseBatch(c.thr, sl.buf)
+			sl.buf = nil
+		}
 	}
 }
 
@@ -1036,7 +1097,7 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 		s.tr.Emit(tid, trace.KindChain, trace.PackPair(int32(depth), uint32(port)))
 	}
 	p := s.g.Ports[port]
-	ec := s.acquireCtx(p, tid, thr, true)
+	ec := s.acquireCtx(p, tid, thr)
 	ec.chainLeft = c.chainLeft - 1
 	s.executeBatch(ec, p, batch)
 	thr.heartbeat.Add(1)
@@ -1057,16 +1118,17 @@ func (s *Scheduler) emitChainStop(tid int, reason int32, port int32) {
 	}
 }
 
-// acquireBatch returns a batchCap-sized tuple buffer: the thread's spare
-// when it is free, the shared pool otherwise (nested execution frames and
-// source threads, which have no Thread). The spare is touched only by the
-// owning goroutine, so spareBusy needs no synchronization. Buffers travel
-// as *[]tuple.Tuple so the release re-pools the same pointer instead of
-// boxing a fresh slice header.
+// acquireBatch returns a batchCap-sized tuple buffer: one of the
+// thread's spares when it has any, the shared pool otherwise (cold
+// threads and source threads, which have no Thread). The spares are
+// touched only by the owning goroutine, so they need no synchronization.
+// Buffers travel as *[]tuple.Tuple so the release re-pools the same
+// pointer instead of boxing a fresh slice header.
 func (s *Scheduler) acquireBatch(thr *Thread) *[]tuple.Tuple {
-	if thr != nil && !thr.spareBusy {
-		thr.spareBusy = true
-		return thr.spare
+	if thr != nil && len(thr.spares) > 0 {
+		b := thr.spares[len(thr.spares)-1]
+		thr.spares = thr.spares[:len(thr.spares)-1]
+		return b
 	}
 	return s.bufPool.Get().(*[]tuple.Tuple)
 }
@@ -1076,8 +1138,8 @@ func (s *Scheduler) acquireBatch(thr *Thread) *[]tuple.Tuple {
 // are dropped by the garbage collector when idle, so stale Ref pointers
 // are only transiently retained.
 func (s *Scheduler) releaseBatch(thr *Thread, b *[]tuple.Tuple) {
-	if thr != nil && b == thr.spare {
-		thr.spareBusy = false
+	if thr != nil && len(thr.spares) < cap(thr.spares) {
+		thr.spares = append(thr.spares, b)
 		return
 	}
 	s.bufPool.Put(b)
@@ -1130,10 +1192,13 @@ func (b *backoff) wait() {
 	}
 }
 
-// blockOnFullAttempts bounds the BlockOnFullQueue wait: with the spin
-// budget exhausted the remaining attempts sleep at the back-off cap, so
-// the escape hatch to self-help still triggers in bounded time.
-const blockOnFullAttempts = 64
+// blockOnFullAttempts bounds the BlockOnFullQueue wait to a fixed total:
+// the spin budget, then sleeps of 1, 10 and 100 µs. When every thread is
+// a blocked producer nothing moves until one of them gives up, so the
+// escape hatch to self-help has to fire this soon; at 64 attempts (half a
+// second once the sleeps reach the 10 ms cap) a 25-stage pipeline under
+// FreeListLIFO did not drain in 30 s on two cores.
+const blockOnFullAttempts = backoffSpinBudget + 3
 
 // push is the paper's Figure 6 entry point: try the enforcer push, and if
 // it fails (full queue or producer-lock contention — we do not
@@ -1152,12 +1217,15 @@ func (s *Scheduler) push(t tuple.Tuple, c *ctx) {
 	if q.Push(t) {
 		return
 	}
-	if s.cfg.BlockOnFullQueue {
+	if s.cfg.BlockOnFullQueue && c.chainLeft >= 0 {
 		// Ablation: wait for space like a plain bounded-queue runtime
 		// would — bounded and with the paper's back-off rather than a
 		// raw spin, so a full cycle of blocked producers burns little
 		// CPU and still falls through to self-help instead of
-		// deadlocking.
+		// deadlocking. A frame that is itself a self-help drain
+		// (chainLeft -1) does not wait again: it already gave up
+		// waiting once, and paying the wait at every level of the
+		// recursion is what made the escape hatch crawl.
 		b := s.newBackoff()
 		for i := 0; i < blockOnFullAttempts; i++ {
 			b.wait()
@@ -1250,7 +1318,7 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 	}
 	// reSchedule nests inside an executing batch (and runs on source
 	// threads that have no Thread at all), so it borrows a drain buffer —
-	// the thread's spare, or a pooled one — instead of using thr.batch.
+	// a thread spare, or a pooled one — instead of using thr.batch.
 	// Both the buffer and the execution context are acquired only if a
 	// consumer lock is actually won: the pure retry-spin path stays
 	// allocation-free.
@@ -1271,11 +1339,11 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 			if bufp == nil {
 				bufp = s.acquireBatch(c.thr)
 				buf = *bufp
-				// The drain does not coalesce: this is the congestion
-				// path, where downstream queues are full and a batched
-				// push would only buffer tuples to fail the PushN and
-				// fall back tuple by tuple anyway.
-				ec = s.acquireCtx(p, c.tid, c.thr, false)
+				// The drain coalesces like any other, but never opens
+				// chain links: it is already run-to-completion, and it
+				// may be running on a frame that owns no thread.
+				ec = s.acquireCtx(p, c.tid, c.thr)
+				ec.chainLeft = -1
 			}
 			// Drain at most ReschedLimit+1 tuples (the pre-batching bound)
 			// in batches, charging locks, indices and counters per batch.
@@ -1291,6 +1359,7 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 				s.executeBatch(ec, p, buf[:n])
 				drained += n
 			}
+			ec.endCoalesce()
 			q.ConsUnlock()
 		}
 		if drained > 0 {
@@ -1310,15 +1379,15 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 	}
 }
 
-// acquireCtx returns an execution context for draining port p, reused
-// across every batch of one drain. Contexts escape into operator code
-// through the Submitter interface and so always live on the heap; scheduler
-// threads recycle them through a thread-local free list (no
-// synchronization — the list is touched only by the owning goroutine) so
-// steady-state draining allocates nothing. Source threads, which have no
-// Thread, fall back to allocation. Callers with coalescing enabled must
-// call endCoalesce before releasing the port's consumer lock.
-func (s *Scheduler) acquireCtx(p *graph.InPort, tid int, thr *Thread, coalesce bool) *ctx {
+// acquireCtx returns a coalescing execution context for draining port
+// p, reused across every batch of one drain. Contexts escape into
+// operator code through the Submitter interface and so always live on the
+// heap; scheduler threads recycle them through a thread-local free list
+// (no synchronization — the list is touched only by the owning goroutine)
+// so steady-state draining allocates nothing. Source threads, which have
+// no Thread, recycle through a shared pool. Callers must call endCoalesce
+// before releasing the port's consumer lock.
+func (s *Scheduler) acquireCtx(p *graph.InPort, tid int, thr *Thread) *ctx {
 	var ec *ctx
 	if thr != nil {
 		if ec = thr.ctxCache; ec != nil {
@@ -1328,16 +1397,18 @@ func (s *Scheduler) acquireCtx(p *graph.InPort, tid int, thr *Thread, coalesce b
 		ec, _ = s.ctxPool.Get().(*ctx)
 	}
 	if ec == nil {
-		ec = new(ctx)
+		ec = &ctx{slots: make([]slot, maxSlots)}
 	}
-	*ec = ctx{s: s, node: p.Node, tid: tid, thr: thr, coalesce: coalesce}
+	// The slot table survives recycling: releaseCtx requires it empty.
+	id := p.Node.ID
+	*ec = ctx{s: s, node: p.Node, tid: tid, thr: thr,
+		slotBase: s.slotBase[id], slots: ec.slots[:s.numSlots[id]]}
 	return ec
 }
 
 // releaseCtx returns a drained port's context to its thread's free list,
 // or to the shared pool for thread-less (source) producers. The context
-// must hold no coalesced tuples (endCoalesce already ran or coalescing
-// was off).
+// must hold no coalesced tuples (endCoalesce already ran).
 func (s *Scheduler) releaseCtx(ec *ctx) {
 	if thr := ec.thr; thr != nil {
 		ec.nextFree = thr.ctxCache
@@ -1810,7 +1881,7 @@ func (s *Scheduler) schedule(thr *Thread) {
 		if s.tr.On() {
 			s.tr.Emit(thr.id, trace.KindAcquire, int64(port))
 		}
-		ec := s.acquireCtx(p, thr.id, thr, true)
+		ec := s.acquireCtx(p, thr.id, thr)
 		ec.chainLeft = s.chainDepth
 		// findWork popped the first tuple already; complete its batch.
 		thr.batch[0] = t
@@ -2109,15 +2180,17 @@ func (s *Scheduler) chargeSteal(tid, dist int) {
 // initial ports, shard spills, and suspended threads' flushed hints
 // land there — and migrates the unusable ones into the local shard.
 func (s *Scheduler) pollGlobal(t *tuple.Tuple, thr *Thread) bool {
-	var port int32
+	// The list sits behind an interface, so a local would escape and
+	// cost a heap allocation on every idle find; pop into the thread.
+	port := &thr.polled
 	for i := 0; i < globalPollBatch; i++ {
-		if !s.popFree(&port, thr.id) {
+		if !s.popFree(port, thr.id) {
 			return false
 		}
-		if s.tryTake(port, t) {
+		if s.tryTake(*port, t) {
 			return true
 		}
-		s.makePortFree(port, thr)
+		s.makePortFree(*port, thr)
 	}
 	return false
 }

@@ -81,12 +81,12 @@ type Thread struct {
 	// (reSchedule) go through Scheduler.acquireBatch instead.
 	batch []tuple.Tuple
 
-	// spare is a second buffer the thread lends out via acquireBatch so
-	// the common depth-1 reSchedule or coalescing frame skips the shared
-	// sync.Pool; spareBusy hands it to at most one frame at a time. Both
-	// are touched only by the thread's own goroutine.
-	spare     *[]tuple.Tuple
-	spareBusy bool
+	// spares is a small stack of free batch buffers the thread lends out
+	// via acquireBatch, so reSchedule drains and coalescing slots skip the
+	// shared sync.Pool: it fills from releases up to its fixed capacity
+	// (one splitter frame's slots plus a nested drain) and overflows to
+	// the pool. Touched only by the thread's own goroutine.
+	spares []*[]tuple.Tuple
 
 	// ctxCache heads the thread's free list of recycled execution
 	// contexts (Scheduler.acquireCtx/releaseCtx); touched only by the
@@ -112,8 +112,10 @@ type Thread struct {
 	victims []int32
 	vDist   []uint8
 	// findTick counts findWorkSharded calls to pace the periodic global
-	// poll; thread-local, no synchronization.
+	// poll, and polled receives each port that poll pops; thread-local,
+	// no synchronization.
 	findTick int
+	polled   int32
 	// chainBudget is the inline-chain tuple allowance remaining in the
 	// current top-level drain batch; schedule() refills it from
 	// Config.ChainTupleBudget before each root executeBatch and tryChain
@@ -125,12 +127,11 @@ type Thread struct {
 }
 
 func newThread(id, batchCap int) *Thread {
-	spare := make([]tuple.Tuple, batchCap)
 	t := &Thread{
-		id:    id,
-		batch: make([]tuple.Tuple, batchCap),
-		spare: &spare,
-		rng:   uint32(id)*2654435761 + 1, // distinct, nonzero xorshift seeds
+		id:     id,
+		batch:  make([]tuple.Tuple, batchCap),
+		spares: make([]*[]tuple.Tuple, 0, maxSlots+2),
+		rng:    uint32(id)*2654435761 + 1, // distinct, nonzero xorshift seeds
 	}
 	t.cond = sync.NewCond(&t.mu)
 	return t

@@ -17,6 +17,8 @@ package spl
 // is collected with them.
 
 import (
+	"strconv"
+
 	"streams/internal/vm"
 )
 
@@ -88,6 +90,31 @@ func (r *Rec) Tup() Tup {
 		tv[f.fields[i].Name] = r.col(i)
 	}
 	return tv
+}
+
+// appendField appends the named attribute as formatValue renders it,
+// unboxed. Sinks ask for attributes in their schema's order, which is
+// normally the frame's, so column i is tried before a by-name scan.
+func (r *Rec) appendField(dst []byte, i int, name string) []byte {
+	f := r.f
+	if i >= len(f.fields) || f.fields[i].Name != name {
+		for i = 0; i < len(f.fields) && f.fields[i].Name != name; i++ {
+		}
+		if i == len(f.fields) {
+			return appendValue(dst, nil)
+		}
+	}
+	ln := &f.lanes[i]
+	switch f.fields[i].Kind {
+	case vm.KInt:
+		return strconv.AppendInt(dst, ln.i[r.row], 10)
+	case vm.KFloat:
+		return appendFloat(dst, ln.f[r.row])
+	case vm.KStr:
+		return append(dst, ln.s[r.row]...)
+	default:
+		return strconv.AppendBool(dst, ln.i[r.row] != 0)
+	}
 }
 
 // load copies the row into a slot window per the requested layout —

@@ -832,21 +832,26 @@ func (b *beaconOp) Process(graph.Submitter, tuple.Tuple, int) {}
 
 // Run implements graph.Source.
 func (b *beaconOp) Run(out graph.Submitter, stop <-chan struct{}) {
-	for i := int64(0); b.iterations == 0 || i < b.iterations; i++ {
+	buf := make([]tuple.Tuple, 0, graph.SourceBatch)
+	for i := int64(0); b.iterations == 0 || i < b.iterations; {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		tv := Tup{}
-		for _, f := range b.typ.Fields {
-			if isInt(f.Type) {
-				tv[f.Name] = i
-			} else {
-				tv[f.Name] = zeroValue(f.Type)
+		for ; len(buf) < cap(buf) && (b.iterations == 0 || i < b.iterations); i++ {
+			tv := Tup{}
+			for _, f := range b.typ.Fields {
+				if isInt(f.Type) {
+					tv[f.Name] = i
+				} else {
+					tv[f.Name] = zeroValue(f.Type)
+				}
 			}
+			buf = append(buf, tuple.Tuple{Ref: tv})
 		}
-		out.Submit(tuple.Tuple{Ref: tv}, 0)
+		graph.SubmitBatch(out, buf, 0)
+		buf = buf[:0]
 	}
 }
 
@@ -873,13 +878,21 @@ func (f *fileSourceOp) Run(out graph.Submitter, stop <-chan struct{}) {
 	defer r.Close()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
+	buf := make([]tuple.Tuple, 0, graph.SourceBatch)
+	for eof := false; !eof; {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		out.Submit(tuple.Tuple{Ref: Tup{f.attr: sc.Text()}}, 0)
+		for len(buf) < cap(buf) {
+			if eof = !sc.Scan(); eof {
+				break
+			}
+			buf = append(buf, tuple.Tuple{Ref: Tup{f.attr: sc.Text()}})
+		}
+		graph.SubmitBatch(out, buf, 0)
+		buf = buf[:0]
 	}
 }
 
@@ -1028,6 +1041,7 @@ type FileSinkOp struct {
 	mu    sync.Mutex
 	w     io.WriteCloser
 	bw    *bufio.Writer
+	line  []byte // the line being formatted, reused across tuples
 	count uint64
 	fail  error
 }
@@ -1054,8 +1068,6 @@ func (s *FileSinkOp) Err() error {
 
 // Process implements graph.Operator.
 func (s *FileSinkOp) Process(_ graph.Submitter, t tuple.Tuple, _ int) {
-	tv := refTup(t.Ref)
-	line := formatTuple(tv, s.typ)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fail != nil {
@@ -1070,7 +1082,8 @@ func (s *FileSinkOp) Process(_ graph.Submitter, t tuple.Tuple, _ int) {
 		s.w = w
 		s.bw = bufio.NewWriter(w)
 	}
-	if _, err := s.bw.WriteString(line + "\n"); err != nil {
+	s.line = append(appendTuple(s.line[:0], t.Ref, s.typ), '\n')
+	if _, err := s.bw.Write(s.line); err != nil {
 		s.fail = err
 		return
 	}

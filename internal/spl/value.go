@@ -3,6 +3,7 @@ package spl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -90,14 +91,49 @@ func formatValue(v Value) string {
 	}
 }
 
-// formatTuple renders a tuple's attributes in static field order,
-// comma-separated — the FileSink line format.
-func formatTuple(tv Tup, tt TupleType) string {
-	parts := make([]string, len(tt.Fields))
-	for i, f := range tt.Fields {
-		parts[i] = formatValue(tv[f.Name])
+// appendValue appends v as formatValue renders it, without the
+// intermediate string for scalars.
+func appendValue(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case bool:
+		return strconv.AppendBool(dst, x)
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return appendFloat(dst, x)
+	case string:
+		return append(dst, x...)
+	default:
+		return append(dst, formatValue(v)...)
 	}
-	return strings.Join(parts, ",")
+}
+
+// appendFloat appends x as fmt's %g prints it.
+func appendFloat(dst []byte, x float64) []byte {
+	return strconv.AppendFloat(dst, x, 'g', -1, 64)
+}
+
+// appendTuple appends a tuple payload's attributes in static field
+// order, comma-separated — the FileSink line format. A VM-emitted *Rec
+// is read straight from its columns; only a payload that really is a
+// map goes through one.
+func appendTuple(dst []byte, ref any, tt TupleType) []byte {
+	r, isRec := ref.(*Rec)
+	var tv Tup
+	if !isRec {
+		tv = ref.(Tup)
+	}
+	for i, f := range tt.Fields {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if isRec {
+			dst = r.appendField(dst, i, f.Name)
+		} else {
+			dst = appendValue(dst, tv[f.Name])
+		}
+	}
+	return dst
 }
 
 // valueEq compares two same-typed runtime values.

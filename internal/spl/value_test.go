@@ -1,8 +1,12 @@
 package spl
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"streams/internal/vm"
 )
 
 func TestZeroValue(t *testing.T) {
@@ -57,9 +61,44 @@ func TestFormatValue(t *testing.T) {
 
 func TestFormatTupleOrder(t *testing.T) {
 	tt := TupleType{Fields: []TField{{"z", Int64}, {"a", RString}}}
-	got := formatTuple(Tup{"a": "x", "z": int64(9)}, tt)
+	got := string(appendTuple(nil, Tup{"a": "x", "z": int64(9)}, tt))
 	if got != "9,x" {
-		t.Errorf("formatTuple = %q, want declared field order 9,x", got)
+		t.Errorf("appendTuple = %q, want declared field order 9,x", got)
+	}
+}
+
+// TestAppendTupleRecMatchesTup pins the FileSink line format across the
+// two payload forms: a VM-emitted *Rec rendered straight from its
+// columns must produce the bytes the map path produces through
+// formatValue, for every kind, for floats on both sides of %g's
+// exponent switch, for a sink schema in a different order than the
+// frame's, and for an attribute the payload lacks.
+func TestAppendTupleRecMatchesTup(t *testing.T) {
+	layout := vm.Layout{Fields: []vm.Field{
+		{Name: "i", Kind: vm.KInt}, {Name: "f", Kind: vm.KFloat},
+		{Name: "s", Kind: vm.KStr}, {Name: "b", Kind: vm.KBool},
+	}}
+	sink := TupleType{Fields: []TField{
+		{"s", RString}, {"i", Int64}, {"ghost", Int64}, {"b", Boolean}, {"f", Float64},
+	}}
+	floats := []float64{0, -0.5, 2.5, 1e21, 1e20, 123456789.125, 1e-5, 1e-4,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	var st frameStore
+	for k, f := range floats {
+		vals := []vm.Val{{I: int64(k) - 3}, {F: f}, {S: fmt.Sprintf("row,%d", k)}, {I: int64(k % 2)}}
+		rec := st.Append(vals, layout).(*Rec)
+		tv := rec.Tup()
+		parts := make([]string, len(sink.Fields))
+		for i, fd := range sink.Fields {
+			parts[i] = formatValue(tv[fd.Name])
+		}
+		want := strings.Join(parts, ",")
+		if got := string(appendTuple(nil, rec, sink)); got != want {
+			t.Errorf("rec line %q, want %q", got, want)
+		}
+		if got := string(appendTuple(nil, tv, sink)); got != want {
+			t.Errorf("tup line %q, want %q", got, want)
+		}
 	}
 }
 
