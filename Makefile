@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-adaptive bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick trace-smoke obs-smoke
+.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-adaptive bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick trace-smoke obs-smoke fuzz-smoke
 
 all: check
 
@@ -17,6 +17,14 @@ race:
 	$(GO) test -race ./...
 
 check: vet build test race
+
+# fuzz-smoke runs every native fuzz target for 10 s: long enough to
+# replay the seed corpus and any checked-in crashers and to mutate a few
+# hundred thousand inputs, short enough for every CI run. go test -fuzz
+# takes one target and one package at a time. A new crasher is written
+# under the package's testdata/fuzz/ — commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVerifyRun$$' -fuzztime 10s ./internal/vm
 
 # chaos runs the deterministic fault-injection soak under the race
 # detector: seeded panics, slowdowns and queue stalls inside the

@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // vmProgram exercises every operator kind -dump-vm distinguishes: a
-// bytecode Filter and Custom, a Work program, and closure fall-backs
-// (Beacon has no program; the stateful Custom is rejected).
+// bytecode Filter and Custom, a Work program, a closure fall-back (the
+// stateful Custom is rejected) and built-ins (Beacon, FileSink).
 const vmProgram = `
 composite Main {
   graph
@@ -37,12 +37,13 @@ composite Main {
 }
 `
 
-// TestDumpVMGolden pins the -dump-vm disassembly: program hashes are
-// content-addressed and every pool index is deterministic, so the
-// output is byte-stable. Regenerate with -update after intentional
-// bytecode or compiler changes.
-func TestDumpVMGolden(t *testing.T) {
-	compiled, err := spl.Compile(vmProgram, spl.Options{})
+// dumpGolden compiles src, dumps its programs and holds the dump to
+// testdata/<name>: program hashes are content-addressed and every pool
+// index is deterministic, so the output is byte-stable. Regenerate with
+// -update after intentional bytecode or compiler changes.
+func dumpGolden(t *testing.T, src, name string) string {
+	t.Helper()
+	compiled, err := spl.Compile(src, spl.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestDumpVMGolden(t *testing.T) {
 	dumpPrograms(&b, compiled.Graph)
 	got := b.String()
 
-	golden := filepath.Join("testdata", "dumpvm.golden")
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -66,10 +67,17 @@ func TestDumpVMGolden(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("-dump-vm output drifted from %s.\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+	return got
+}
+
+// TestDumpVMGolden pins the -dump-vm disassembly of vmProgram.
+func TestDumpVMGolden(t *testing.T) {
+	got := dumpGolden(t, vmProgram, "dumpvm.golden")
 
 	// Structural spot checks so a stale -update cannot hide regressions.
 	for _, want := range []string{
-		"closure (no program)",     // Beacon and the stateful Custom fall back
+		"closure (no program)",     // the stateful Custom falls back
+		"builtin (no logic)",       // Beacon and FileSink have nothing to compile
 		"seg 0 \"Main/E\" forward", // the filter forwards its input tuple
 		"seg 0 \"Main/M\" fresh",   // the custom emits a fresh tuple
 		"spin.work:ii/2",           // the work program calls the burn builtin
@@ -78,6 +86,28 @@ func TestDumpVMGolden(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("-dump-vm output missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestDumpVMLoginFailuresGolden pins the bytecode of the paper's own
+// Figure 1 program (examples/loginfailures): all of its logic compiles,
+// so the dump has list opcodes and not one closure fall-back line.
+func TestDumpVMLoginFailuresGolden(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "loginfailures", "loginfailures.spl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := dumpGolden(t, string(src), "dumpvm_loginfailures.golden")
+	if strings.Contains(got, "closure (no program)") {
+		t.Fatalf("LoginFailures has a closure fall-back:\n%s", got)
+	}
+	for _, want := range []string{
+		"call.l     tokenize:ssb>l/3", "index.l", "slice.l", "call.l     flatten:l/1",
+		"call.l     parseMsg:s>l/1", "call.l     size:l/1", "call       findFirst:ssi/3",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("LoginFailures dump missing %q:\n%s", want, got)
 		}
 	}
 }

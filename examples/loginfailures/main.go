@@ -7,6 +7,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"io"
 	"log"
@@ -16,58 +17,12 @@ import (
 	"streams"
 )
 
-// program is the paper's Figure 1 composite plus the Main that invokes
-// it (§2.2), with the paper's `values[4]` typo corrected to `tokens[4]`.
-const program = `
-composite LoginFailures(output Failures) {
-  type
-    LogLine = timestamp time, rstring hostname, rstring srvc, rstring msg;
-    Failure = timestamp time, rstring uid, rstring euid,
-              rstring tty, rstring rhost, rstring user;
-  graph
-    stream<rstring line> Lines = FileSource() {
-      param format: line;
-            file: "/var/log/messages";
-    }
-    @parallel(width=7)
-    stream<LogLine> ParsedLines = Custom(Lines) {
-      logic onTuple Lines: {
-        list<rstring> tokens = tokenize(line, " ", false);
-        rstring date = makeDate(tokens[1]);
-        rstring time = makeTime(tokens[2]);
-        timestamp t = makeTimestamp(date, time);
-        submit({time = t, hostname = tokens[3],
-                srvc = tokens[4], msg = flatten(tokens[5:])},
-               ParsedLines);
-      }
-    }
-    stream<LogLine> FailuresRaw = Filter(ParsedLines) {
-      param filter:
-        findFirst(srvc, "sshd", 0) != -1 &&
-        findFirst(msg, "authentication failure", 0) != -1;
-    }
-    @parallel(width=4)
-    stream<Failure> Failures = Custom(FailuresRaw) {
-      logic onTuple FailuresRaw: {
-        list<rstring> tokens = parseMsg(msg);
-        submit({time = FailuresRaw.time,
-                uid = tokens[0], euid = tokens[1],
-                tty = tokens[2], rhost = tokens[3],
-                user = size(tokens) == 5 ? tokens[4] : ""},
-               Failures);
-      }
-    }
-}
-
-@threading(model=dynamic)
-composite Main {
-  graph
-    stream<Failure> Failures = LoginFailures() {}
-    () as Sink = FileSink(Failures) {
-      param file: "failures.txt";
-    }
-}
-`
+// program (loginfailures.spl) is the paper's Figure 1 composite plus
+// the Main that invokes it (§2.2), with the paper's `values[4]` typo
+// corrected to `tokens[4]`.
+//
+//go:embed loginfailures.spl
+var program string
 
 // syntheticMessages fabricates /var/log/messages content: sshd
 // authentication failures interleaved with unrelated traffic.

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"streams/internal/graph"
 	"streams/internal/trace"
 	"streams/internal/tuple"
@@ -75,6 +77,16 @@ func (s *Scheduler) buildFusedRuns() {
 	if maxLen < 2 {
 		maxLen = 2
 	}
+	// @parallel replicas share their program, so the runs rooted at the
+	// replicas of one stage fuse the same programs: fuse and plan each
+	// distinct sequence once. Programs and plans are immutable; the
+	// machines that run them are per run.
+	type fusedPlan struct {
+		progs []*vm.Program
+		fused *vm.Program
+		vec   *vm.VecProgram
+	}
+	var plans []fusedPlan
 	for _, entry := range s.g.Ports {
 		if !entry.Chainable {
 			continue
@@ -104,20 +116,26 @@ func (s *Scheduler) buildFusedRuns() {
 		if len(progs) < 2 {
 			continue
 		}
-		fused, err := vm.Fuse(progs)
-		if err != nil {
-			continue
-		}
-		run := &fusedRun{prog: fused, ports: ports, nodes: nodes}
-		if !s.cfg.DisableVec {
-			// Vectorizability is decided once per fused program; a nil
-			// plan (side-effectful builtins, loops, multi-emit
-			// segments) keeps the run on the scalar dispatch loop.
-			if vp, err := vm.PlanVec(fused); err == nil {
-				run.vec = vp
+		pi := slices.IndexFunc(plans, func(pl fusedPlan) bool { return slices.Equal(pl.progs, progs) })
+		if pi < 0 {
+			pl := fusedPlan{progs: progs}
+			if fused, err := vm.Fuse(progs); err == nil {
+				pl.fused = fused
+				if !s.cfg.DisableVec {
+					// Vectorizability is decided once per fused program; a
+					// nil plan (side-effectful builtins, loops, multi-emit
+					// segments, lists) keeps the run on the scalar dispatch
+					// loop.
+					if vp, err := vm.PlanVec(fused); err == nil {
+						pl.vec = vp
+					}
+				}
 			}
+			pi, plans = len(plans), append(plans, pl)
 		}
-		s.fusedRuns[entry.ID] = run
+		if pl := plans[pi]; pl.fused != nil {
+			s.fusedRuns[entry.ID] = &fusedRun{prog: pl.fused, vec: pl.vec, ports: ports, nodes: nodes}
+		}
 	}
 }
 

@@ -8,67 +8,35 @@ import (
 // This file is the value-model bridge between the SPL runtime (boxed
 // Value / Tup maps) and the VM (unboxed Val lanes). Two pieces:
 //
-//   - the builtin registrations: every whitelisted signature in
-//     vmBuiltinSigs wraps the SAME eval function the closure
-//     interpreter calls, so the two paths agree on every edge case
-//     (substring bounds panics, toInt leniency, spin's burn) by
-//     construction rather than by re-implementation;
+//   - the builtin registrations: every typed implementation in the
+//     builtins table (builtins.go) is registered with the VM under its
+//     signature-mangled name — the very function the closure
+//     interpreter reaches through builtin.call, so the two paths agree
+//     on every edge case (substring bounds panics, toInt leniency,
+//     spin's burn) by construction rather than by re-implementation;
 //   - tupCodec, which copies Tup payloads into slot windows and back.
 
 func init() {
-	for name, sigs := range vmBuiltinSigs {
-		for _, sig := range sigs {
-			mangled := name + ":" + sig.args
-			vm.RegisterBuiltin(mangled, bridgeBuiltin(name, sig))
-			// Every whitelisted builtin is a pure function of its
-			// arguments except spin, whose deliberate CPU burn is a
-			// side effect that is harmless to repeat — both classes
-			// are vectorizable and replay-safe.
+	for name, b := range builtins {
+		for i := range b.impls {
+			im := &b.impls[i]
+			mangled := im.mangled(name)
+			if im.lfn != nil {
+				vm.RegisterListBuiltin(mangled, im.lfn)
+				continue
+			}
+			vm.RegisterBuiltin(mangled, im.fn)
+			// Every scalar builtin is a pure function of its arguments
+			// except spin, whose deliberate CPU burn is a side effect
+			// that is harmless to repeat — both classes are
+			// vectorizable and replay-safe. List builtins declare no
+			// effect: programs that touch lists never vectorize.
 			eff := vm.EffectPure
 			if name == "spin" {
 				eff = vm.EffectReplay
 			}
-			vm.RegisterBuiltinInfo(mangled, eff, sig.ret)
+			vm.RegisterBuiltinInfo(mangled, eff, im.ret)
 		}
-	}
-}
-
-// bridgeBuiltin wraps builtins[name].eval for one argument signature.
-func bridgeBuiltin(name string, sig vmSig) vm.BuiltinFunc {
-	eval := builtins[name].eval
-	letters := sig.args
-	ret := sig.ret
-	return func(args []vm.Val) vm.Val {
-		boxed := make([]Value, len(args))
-		for i := range args {
-			switch letters[i] {
-			case 'i':
-				boxed[i] = args[i].I
-			case 'f':
-				boxed[i] = args[i].F
-			case 's':
-				boxed[i] = args[i].S
-			default:
-				boxed[i] = args[i].I != 0
-			}
-		}
-		return valFromValue(eval(Pos{}, boxed), ret)
-	}
-}
-
-func valFromValue(v Value, k vm.Kind) vm.Val {
-	switch k {
-	case vm.KInt:
-		return vm.Val{I: v.(int64)}
-	case vm.KFloat:
-		return vm.Val{F: v.(float64)}
-	case vm.KStr:
-		return vm.Val{S: v.(string)}
-	default:
-		if v.(bool) {
-			return vm.Val{I: 1}
-		}
-		return vm.Val{}
 	}
 }
 

@@ -489,7 +489,7 @@ func eval(e Expr, env *renv) Value {
 		for i, a := range x.Args {
 			args[i] = eval(a, env)
 		}
-		return b.eval(x.Pos, args)
+		return b.call(args)
 	case *UnaryExpr:
 		v := eval(x.X, env)
 		switch x.Op {

@@ -442,3 +442,23 @@ composite OnlyOne {
 		t.Fatal("missing main accepted")
 	}
 }
+
+// TestBeaconNonScalarAttribute covers the sources' map fallback: a
+// tuple type with a list attribute has no frame layout, so Beacon emits
+// Tup payloads and the consumer stays on the closure evaluator.
+func TestBeaconNonScalarAttribute(t *testing.T) {
+	const src = `
+composite Main {
+  graph
+    stream<int64 i, list<rstring> l> N = Beacon() { param iterations: 3; }
+    stream<int64 n> C = Custom(N) {
+      logic onTuple N: { submit({ n = i * 10 + size(l) }, C); }
+    }
+    () as Out = FileSink(C) { param file: "out.txt"; }
+}
+`
+	files := compileRun(t, src, pe.Manual, 1, nil)
+	if got, want := strings.Join(files["out.txt"].Lines(), " "), "0 10 20"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}

@@ -2,18 +2,25 @@ package spl
 
 import (
 	"fmt"
+	"math"
 
 	"streams/internal/vm"
 )
 
 // This file lowers checked SPL expression ASTs and logic blocks to
 // vm.Programs: the portable, fusable alternative to the closure
-// evaluator in check.go. Compilation is best-effort — any construct
-// outside the VM's scalar value model (lists, nested tuples, state
-// clauses, non-whitelisted builtins, multi-port logic) aborts via
-// errVMUnsupported and the operator keeps its closure path. The two
-// paths must agree exactly on supported programs; vm_diff_test.go
-// checks that property on random expressions.
+// evaluator in check.go. Scalars and lists of strings compile — list
+// literals, indexing, slicing, list-typed locals and the list builtins
+// (tokenize, flatten, parseMsg, size) — which covers the paper's own
+// LoginFailures end to end. Lists are operator-local: they live in
+// locals and on the operand stack, never in a stream attribute, and the
+// VM's verifier additionally refuses a list that is still in use after
+// a submit. Compilation is best-effort — any construct outside that
+// value model (lists of other element types, list-typed attributes,
+// nested tuples, state clauses, multi-port logic) aborts via
+// errVMUnsupported, or fails verification, and the operator keeps its
+// closure path. The two paths must agree exactly on supported programs;
+// vm_diff_test.go checks that property on random expressions.
 //
 // Attribute-index resolution and constant folding happen here, at
 // compile time: input attributes become slot loads (no per-tuple map
@@ -29,8 +36,13 @@ func unsupported(format string, args ...any) {
 	panic(errVMUnsupported{fmt.Sprintf(format, args...)})
 }
 
-// vmKindOf maps an SPL scalar type onto a VM lane.
+// vmKindOf maps an SPL type onto a VM kind: the scalars onto their
+// lanes, a list of strings onto vm.KList.
 func vmKindOf(t Type) (vm.Kind, bool) {
+	if lt, isList := t.(ListType); isList {
+		ek, ok := vmKindOf(lt.Elem)
+		return vm.KList, ok && ek == vm.KStr
+	}
 	switch {
 	case t == nil:
 		return 0, false
@@ -53,7 +65,7 @@ func vmLayoutOf(tt TupleType) (vm.Layout, bool) {
 	fs := make([]vm.Field, len(tt.Fields))
 	for i, f := range tt.Fields {
 		k, ok := vmKindOf(f.Type)
-		if !ok {
+		if !ok || k == vm.KList {
 			return vm.Layout{}, false
 		}
 		fs[i] = vm.Field{Name: f.Name, Kind: k}
@@ -107,7 +119,7 @@ func (c *vmc) bindFields(tt TupleType) int32 {
 	base := c.nslots
 	for _, f := range tt.Fields {
 		k, ok := vmKindOf(f.Type)
-		if !ok {
+		if !ok || k == vm.KList {
 			unsupported("attribute %s has non-scalar type %s", f.Name, f.Type)
 		}
 		c.bind(f.Name, vmSlot{slot: c.alloc(), kind: k})
@@ -115,12 +127,14 @@ func (c *vmc) bindFields(tt TupleType) int32 {
 	return base
 }
 
-// tryFold emits a constant when e is a call-free expression the
-// checker's constEval can evaluate (so literals, arithmetic on
-// literals, folded parameters). Calls are never folded: spin() burns
-// CPU per tuple by design, and folding would erase the burn.
+// tryFold emits a constant when e is built from literals and operators
+// alone, evaluated through the checker's constEval (so literals,
+// arithmetic on literals, folded parameters). Calls are never folded:
+// spin() burns CPU per tuple by design, and folding would erase the
+// burn. Names never fold either — constEval has no scope to find them
+// in — and are turned away here, before it formats an error for each.
 func (c *vmc) tryFold(e Expr) (vm.Kind, bool) {
-	if hasCall(e) {
+	if !literalOnly(e) {
 		return 0, false
 	}
 	v, err := constEval(e)
@@ -145,34 +159,31 @@ func (c *vmc) tryFold(e Expr) (vm.Kind, bool) {
 	}
 }
 
-func hasCall(e Expr) bool {
+// literalOnly reports whether e contains no call and no name.
+func literalOnly(e Expr) bool {
+	all := func(es ...Expr) bool {
+		for _, x := range es {
+			if x != nil && !literalOnly(x) {
+				return false
+			}
+		}
+		return true
+	}
 	switch e := e.(type) {
-	case *CallExpr:
+	case *IntLit, *FloatLit, *StringLit, *BoolLit:
 		return true
 	case *UnaryExpr:
-		return hasCall(e.X)
+		return literalOnly(e.X)
 	case *BinaryExpr:
-		return hasCall(e.X) || hasCall(e.Y)
+		return all(e.X, e.Y)
 	case *CondExpr:
-		return hasCall(e.C) || hasCall(e.T) || hasCall(e.F)
-	case *AttrExpr:
-		return hasCall(e.X)
+		return all(e.C, e.T, e.F)
 	case *IndexExpr:
-		return hasCall(e.X) || hasCall(e.I)
+		return all(e.X, e.I)
 	case *SliceExpr:
-		return hasCall(e.X) || (e.Lo != nil && hasCall(e.Lo)) || (e.Hi != nil && hasCall(e.Hi))
+		return all(e.X, e.Lo, e.Hi)
 	case *ListLit:
-		for _, el := range e.Elems {
-			if hasCall(el) {
-				return true
-			}
-		}
-	case *TupleLit:
-		for _, v := range e.Values {
-			if hasCall(v) {
-				return true
-			}
-		}
+		return all(e.Elems...)
 	}
 	return false
 }
@@ -258,9 +269,39 @@ func (c *vmc) expr(e Expr) vm.Kind {
 		return kt
 	case *CallExpr:
 		return c.call(e)
+	case *IndexExpr:
+		c.expr(e.X)
+		c.expr(e.I)
+		c.b.Op(vm.OpIndexL)
+		return vm.KStr
+	case *SliceExpr:
+		// A missing bound is the list's own end: OpSliceL clamps.
+		c.expr(e.X)
+		c.bound(e.Lo, 0)
+		c.bound(e.Hi, math.MaxInt64)
+		c.b.Op(vm.OpSliceL)
+		return vm.KList
+	case *ListLit:
+		strs := true
+		for _, el := range e.Elems {
+			strs = c.expr(el) == vm.KStr && strs
+		}
+		if strs {
+			c.b.Ins(vm.OpMakeL, int32(len(e.Elems)), 0)
+			return vm.KList
+		}
 	}
 	unsupported("%T expression", e)
 	panic("unreachable")
+}
+
+// bound compiles an optional slice bound.
+func (c *vmc) bound(e Expr, missing int64) {
+	if e == nil {
+		c.b.ConstI(missing)
+		return
+	}
+	c.expr(e)
 }
 
 func (c *vmc) binary(e *BinaryExpr) vm.Kind {
@@ -354,31 +395,6 @@ func (c *vmc) binary(e *BinaryExpr) vm.Kind {
 	return ret
 }
 
-// vmBuiltinSigs whitelists the builtins the VM can call, keyed by
-// name, listing each accepted argument-kind signature and its result.
-// The bridge in bridge_vm.go registers one vm builtin per signature
-// under the mangled name ("substring:sii"), wrapping the exact eval
-// functions the closure path uses — shared semantics by construction.
-var vmBuiltinSigs = map[string][]vmSig{
-	"length":        {{args: "s", ret: vm.KInt}},
-	"lower":         {{args: "s", ret: vm.KStr}},
-	"upper":         {{args: "s", ret: vm.KStr}},
-	"substring":     {{args: "sii", ret: vm.KStr}},
-	"findFirst":     {{args: "ssi", ret: vm.KInt}},
-	"toInt":         {{args: "s", ret: vm.KInt}},
-	"toFloat64":     {{args: "i", ret: vm.KFloat}, {args: "f", ret: vm.KFloat}},
-	"toString":      {{args: "i", ret: vm.KStr}, {args: "f", ret: vm.KStr}, {args: "s", ret: vm.KStr}, {args: "b", ret: vm.KStr}},
-	"makeDate":      {{args: "s", ret: vm.KStr}},
-	"makeTime":      {{args: "s", ret: vm.KStr}},
-	"makeTimestamp": {{args: "ss", ret: vm.KStr}},
-	"spin":          {{args: "i", ret: vm.KFloat}},
-}
-
-type vmSig struct {
-	args string // one kind letter per argument: i, f, s, b
-	ret  vm.Kind
-}
-
 func kindLetter(k vm.Kind) byte {
 	switch k {
 	case vm.KInt:
@@ -387,28 +403,28 @@ func kindLetter(k vm.Kind) byte {
 		return 'f'
 	case vm.KStr:
 		return 's'
+	case vm.KList:
+		return 'l'
 	default:
 		return 'b'
 	}
 }
 
+// call lowers a builtin call to the typed implementation (builtins.go)
+// matching the argument kinds — the body the closure evaluator also
+// runs, registered with the VM under its mangled name by bridge_vm.go.
 func (c *vmc) call(e *CallExpr) vm.Kind {
-	sigs, ok := vmBuiltinSigs[e.Name]
-	if !ok {
-		unsupported("builtin %s", e.Name)
-	}
 	letters := make([]byte, len(e.Args))
 	for i, a := range e.Args {
 		letters[i] = kindLetter(c.expr(a))
 	}
-	for _, sig := range sigs {
-		if sig.args == string(letters) {
-			c.b.Call(e.Name+":"+sig.args, int32(len(e.Args)))
-			return sig.ret
-		}
+	b := builtins[e.Name]
+	im := b.find(letters)
+	if im == nil {
+		unsupported("builtin %s(%s)", e.Name, letters)
 	}
-	unsupported("builtin %s(%s)", e.Name, letters)
-	panic("unreachable")
+	c.b.Call(im.mangled(e.Name), int32(len(e.Args)))
+	return im.ret
 }
 
 // stmt compiles one statement. Statements are stack-balanced: each
@@ -525,6 +541,8 @@ func (c *vmc) zero(k vm.Kind) {
 		c.b.ConstF(0)
 	case vm.KStr:
 		c.b.ConstS("")
+	case vm.KList:
+		c.b.Ins(vm.OpMakeL, 0, 0)
 	}
 }
 

@@ -453,13 +453,12 @@ func (lw *lowerer) operatorFactory(inv *Invocation, name string, params map[stri
 		if fv == nil {
 			return nil, 0, 0, errf(inv.Pos, "FileSource requires a file parameter")
 		}
-		attr := outType.Fields[0].Name
 		open := lw.opts.ReaderFor
 		if open == nil {
 			open = func(f string) (io.ReadCloser, error) { return os.Open(f) }
 		}
 		return func(int) graph.Operator {
-			return &fileSourceOp{name: name, file: fv.(string), attr: attr, open: open}
+			return &fileSourceOp{name: name, file: fv.(string), typ: *outType, open: open}
 		}, 0, 1, nil
 
 	case "Custom":
@@ -832,34 +831,83 @@ func (b *beaconOp) Process(graph.Submitter, tuple.Tuple, int) {}
 
 // Run implements graph.Source.
 func (b *beaconOp) Run(out graph.Submitter, stop <-chan struct{}) {
-	buf := make([]tuple.Tuple, 0, graph.SourceBatch)
+	rows := newSourceRows(b.typ)
 	for i := int64(0); b.iterations == 0 || i < b.iterations; {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		for ; len(buf) < cap(buf) && (b.iterations == 0 || i < b.iterations); i++ {
-			tv := Tup{}
-			for _, f := range b.typ.Fields {
-				if isInt(f.Type) {
-					tv[f.Name] = i
-				} else {
-					tv[f.Name] = zeroValue(f.Type)
+		for ; !rows.full() && (b.iterations == 0 || i < b.iterations); i++ {
+			if rows.vals == nil {
+				rows.addRef(b.tup(i))
+				continue
+			}
+			// Non-integer attributes keep the zero Val they start with.
+			for k, f := range rows.layout.Fields {
+				if f.Kind == vm.KInt {
+					rows.vals[k].I = i
 				}
 			}
-			buf = append(buf, tuple.Tuple{Ref: tv})
+			rows.add()
 		}
-		graph.SubmitBatch(out, buf, 0)
-		buf = buf[:0]
+		rows.flush(out)
 	}
+}
+
+// tup builds tuple i as a map, for a tuple type frames cannot hold.
+func (b *beaconOp) tup(i int64) Tup {
+	tv := Tup{}
+	for _, f := range b.typ.Fields {
+		if isInt(f.Type) {
+			tv[f.Name] = i
+		} else {
+			tv[f.Name] = zeroValue(f.Type)
+		}
+	}
+	return tv
+}
+
+// sourceRows is the emit side both SPL sources share: rows gather into
+// one SourceBatch-sized submit, and their payloads are *Rec rows of a
+// columnar Frame (frame.go) rather than a Tup map per tuple — the form
+// bytecode consumers load positionally and closure consumers
+// materialize through refTup. A source whose tuple type has a
+// non-scalar attribute has no frame layout (vals is nil) and adds
+// ready-made payloads instead.
+type sourceRows struct {
+	layout vm.Layout
+	vals   []vm.Val // the row being built, one Val per attribute
+	store  frameStore
+	buf    []tuple.Tuple
+}
+
+func newSourceRows(typ TupleType) *sourceRows {
+	r := &sourceRows{buf: make([]tuple.Tuple, 0, graph.SourceBatch)}
+	if layout, ok := vmLayoutOf(typ); ok {
+		r.layout, r.vals = layout, make([]vm.Val, len(layout.Fields))
+	}
+	return r
+}
+
+func (r *sourceRows) full() bool { return len(r.buf) == cap(r.buf) }
+
+// add appends the row in vals.
+func (r *sourceRows) add() { r.addRef(r.store.Append(r.vals, r.layout)) }
+
+func (r *sourceRows) addRef(ref any) { r.buf = append(r.buf, tuple.Tuple{Ref: ref}) }
+
+// flush submits the gathered rows on output port 0.
+func (r *sourceRows) flush(out graph.Submitter) {
+	graph.SubmitBatch(out, r.buf, 0)
+	r.buf = r.buf[:0]
 }
 
 // fileSourceOp emits one single-attribute tuple per input line.
 type fileSourceOp struct {
 	name string
 	file string
-	attr string
+	typ  TupleType // the single rstring attribute
 	open func(string) (io.ReadCloser, error)
 }
 
@@ -878,21 +926,21 @@ func (f *fileSourceOp) Run(out graph.Submitter, stop <-chan struct{}) {
 	defer r.Close()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	buf := make([]tuple.Tuple, 0, graph.SourceBatch)
+	rows := newSourceRows(f.typ)
 	for eof := false; !eof; {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		for len(buf) < cap(buf) {
+		for !rows.full() {
 			if eof = !sc.Scan(); eof {
 				break
 			}
-			buf = append(buf, tuple.Tuple{Ref: Tup{f.attr: sc.Text()}})
+			rows.vals[0].S = sc.Text()
+			rows.add()
 		}
-		graph.SubmitBatch(out, buf, 0)
-		buf = buf[:0]
+		rows.flush(out)
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 // Differential test between the two expression dispatch forms: the
 // closure evaluator (eval in check.go) and the bytecode VM
 // (compileExprVM + vm.Machine). On every expression the VM accepts, the
-// two must agree exactly — same value, or a panic on both sides. The
-// generator only produces constructs inside the VM's documented subset,
-// so a compilation fall-back here is itself a bug.
+// two must agree exactly — same value, or a fault on both sides, where
+// a VM fault is a contained operator fault (*vm.Error or the builtins'
+// *RuntimeError, never a Go runtime panic) that leaves the machine
+// reusable. The generator only produces constructs inside the VM's
+// documented subset — scalars and lists of strings — so a compilation
+// fall-back here is itself a bug.
 
 // diffInType is the input tuple type the generated expressions range
 // over: two attributes per scalar kind, so binary operators can mix
@@ -46,7 +49,9 @@ var diffFields = map[vm.Kind][]string{
 var (
 	diffInts    = []int64{-3, -1, 0, 0, 1, 2, 7, 100}
 	diffFloats  = []float64{-2.5, -1, 0, 0, 0.5, 1, 3.75, 1e6}
-	diffStrings = []string{"", "a", "abc", "héllo", "42", "-7", "3.5", "xyzzy"}
+	diffStrings = []string{"", "a", "abc", "héllo", "42", "-7", "3.5", "xyzzy",
+		"a b  c", " lead,trail, ", "uid=0 euid=1 tty=ssh rhost=h user=u", "uid=7 euid=7 tty=x rhost=", "α;β;;γ"}
+	diffDelims = []string{" ", ",", "; ", "", "β,"}
 )
 
 func diffLit(r *rand.Rand, k vm.Kind) Expr {
@@ -59,6 +64,43 @@ func diffLit(r *rand.Rand, k vm.Kind) Expr {
 		return &StringLit{V: diffStrings[r.Intn(len(diffStrings))]}
 	default:
 		return &BoolLit{V: r.Intn(2) == 0}
+	}
+}
+
+// genList produces a random list<rstring> expression: the two builtins
+// that make lists, literals, slices with in-range, out-of-range,
+// negative and missing bounds, and conditionals over all of those.
+func genList(r *rand.Rand, depth int) Expr {
+	d := depth - 1
+	if depth <= 0 {
+		d = 0
+	}
+	switch n := r.Intn(6); {
+	case n == 0 && depth > 0:
+		x := &SliceExpr{X: genList(r, d)}
+		if r.Intn(4) > 0 {
+			x.Lo = genExpr(r, vm.KInt, d)
+		}
+		if r.Intn(4) > 0 {
+			x.Hi = genExpr(r, vm.KInt, d)
+		}
+		return x
+	case n == 1 && depth > 0:
+		return &CondExpr{C: genExpr(r, vm.KBool, d), T: genList(r, d), F: genList(r, d)}
+	case n == 2:
+		return &CallExpr{Name: "parseMsg", Args: []Expr{genExpr(r, vm.KStr, d)}}
+	case n == 3:
+		elems := make([]Expr, 1+r.Intn(3))
+		for i := range elems {
+			elems[i] = genExpr(r, vm.KStr, d)
+		}
+		return &ListLit{Elems: elems}
+	default:
+		return &CallExpr{Name: "tokenize", Args: []Expr{
+			genExpr(r, vm.KStr, d),
+			&StringLit{V: diffDelims[r.Intn(len(diffDelims))]},
+			genExpr(r, vm.KBool, d),
+		}}
 	}
 }
 
@@ -88,7 +130,9 @@ func genExpr(r *rand.Rand, k vm.Kind, depth int) Expr {
 	d := depth - 1
 	switch k {
 	case vm.KInt:
-		switch r.Intn(7) {
+		switch r.Intn(8) {
+		case 7:
+			return &CallExpr{Name: "size", Args: []Expr{genList(r, d)}}
 		case 0:
 			op := []Kind{PLUS, MINUS, STAR, SLASH, PERCENT}[r.Intn(5)]
 			return &BinaryExpr{Op: op, X: genExpr(r, k, d), Y: genExpr(r, k, d)}
@@ -123,7 +167,13 @@ func genExpr(r *rand.Rand, k vm.Kind, depth int) Expr {
 			return &CallExpr{Name: "toFloat64", Args: []Expr{genExpr(r, vm.KFloat, d)}}
 		}
 	case vm.KStr:
-		switch r.Intn(6) {
+		switch r.Intn(9) {
+		case 6:
+			return &IndexExpr{X: genList(r, d), I: genExpr(r, vm.KInt, d)}
+		case 7:
+			return &CallExpr{Name: "flatten", Args: []Expr{genList(r, d)}}
+		case 8:
+			return &CallExpr{Name: "toString", Args: []Expr{genList(r, d)}}
 		case 0:
 			return &BinaryExpr{Op: PLUS, X: genExpr(r, k, d), Y: genExpr(r, k, d)}
 		case 1:
@@ -182,6 +232,23 @@ func exprStr(e Expr) string {
 		return fmt.Sprintf("(%s %v %s)", exprStr(x.X), x.Op, exprStr(x.Y))
 	case *CondExpr:
 		return fmt.Sprintf("(%s ? %s : %s)", exprStr(x.C), exprStr(x.T), exprStr(x.F))
+	case *IndexExpr:
+		return fmt.Sprintf("%s[%s]", exprStr(x.X), exprStr(x.I))
+	case *SliceExpr:
+		lo, hi := "", ""
+		if x.Lo != nil {
+			lo = exprStr(x.Lo)
+		}
+		if x.Hi != nil {
+			hi = exprStr(x.Hi)
+		}
+		return fmt.Sprintf("%s[%s:%s]", exprStr(x.X), lo, hi)
+	case *ListLit:
+		parts := make([]string, len(x.Elems))
+		for i, el := range x.Elems {
+			parts[i] = exprStr(el)
+		}
+		return "[" + strings.Join(parts, ", ") + "]"
 	case *CallExpr:
 		s := x.Name + "("
 		for i, a := range x.Args {
@@ -224,15 +291,24 @@ func runClosureExpr(e Expr, in Tup) (out Value, panicked bool) {
 	return eval(e, env), false
 }
 
+// diffMachine is the one machine every differential run shares, so each
+// run after a faulting one also checks that a fault leaves the machine
+// reusable.
+var diffMachine vm.Machine
+
 // runVMExpr pushes in through the compiled program and reads back the
-// single output attribute.
+// single output attribute. A fault must be a contained operator fault.
 func runVMExpr(p *vm.Program, in Tup) (out Value, panicked bool) {
 	defer func() {
-		if r := recover(); r != nil {
+		switch r := recover().(type) {
+		case nil:
+		case *vm.Error, *RuntimeError:
 			panicked = true
+		default:
+			panic(r)
 		}
 	}()
-	var m vm.Machine
+	m := &diffMachine
 	var got Tup
 	m.Run(p, tuple.Tuple{Ref: in}, vm.EmitFunc(func(o tuple.Tuple) {
 		got = refTup(o.Ref)
@@ -276,12 +352,15 @@ func diffOne(t *testing.T, e Expr, p *vm.Program, in Tup) (panicked bool) {
 func TestVMDifferentialRandomExprs(t *testing.T) {
 	r := rand.New(rand.NewSource(20260808))
 	kinds := []vm.Kind{vm.KInt, vm.KFloat, vm.KStr, vm.KBool}
-	values, panics := 0, 0
+	values, panics, lists := 0, 0, 0
 	for i := 0; i < 600; i++ {
 		e := genExpr(r, kinds[r.Intn(len(kinds))], 1+r.Intn(3))
 		p := bindVM(compileExprVM(e, diffInType, "S"))
 		if p == nil {
 			t.Fatalf("trial %d: VM rejected a generated expression: %s", i, exprStr(e))
+		}
+		if usesLists(p) {
+			lists++
 		}
 		for j := 0; j < 4; j++ {
 			if diffOne(t, e, p, randTup(r)) {
@@ -291,8 +370,8 @@ func TestVMDifferentialRandomExprs(t *testing.T) {
 			}
 		}
 	}
-	if values == 0 || panics == 0 {
-		t.Fatalf("sweep did not cover both outcomes: %d values, %d panics", values, panics)
+	if values == 0 || panics == 0 || lists < 100 {
+		t.Fatalf("sweep did not cover both outcomes and lists: %d values, %d panics, %d list programs", values, panics, lists)
 	}
 }
 
@@ -319,6 +398,14 @@ func TestVMVecDifferentialRandomExprs(t *testing.T) {
 			t.Fatalf("trial %d: VM rejected a generated expression: %s", i, exprStr(e))
 		}
 		vp, err := vm.PlanVec(p)
+		if usesLists(p) {
+			// Lists live in the scalar machine's arena: such programs
+			// must be declined, and run fused or per-operator instead.
+			if err == nil {
+				t.Fatalf("trial %d: vectorizer accepted a list program: %s", i, exprStr(e))
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("trial %d: vectorizer rejected the expression subset: %s\n%v", i, exprStr(e), err)
 		}
@@ -394,6 +481,17 @@ func TestVMVecDifferentialRandomExprs(t *testing.T) {
 	if batches == 0 {
 		t.Fatalf("sweep completed no clean batches (%d vectorized panics)", vecPanics)
 	}
+}
+
+// usesLists reports whether p contains a list opcode.
+func usesLists(p *vm.Program) bool {
+	for _, in := range p.Code {
+		switch in.Op {
+		case vm.OpIndexL, vm.OpSliceL, vm.OpMakeL, vm.OpCallL:
+			return true
+		}
+	}
+	return false
 }
 
 func slicesEqualU64(a, b []uint64) bool {
@@ -579,11 +677,32 @@ func TestVMVecDifferentialFreshInteriorFilterTail(t *testing.T) {
 // TestVMDifferentialEdgeCases pins the known-sharp edges explicitly, so
 // a generator drift can never silently drop them: integer division and
 // modulo by zero, float division by zero (Inf and NaN, no panic),
-// substring out of range and clamped, toInt parse failure, and the
-// unfoldable spin call.
+// substring out of range and clamped, toInt parse failure, the
+// unfoldable spin call, and the list edges — index at, past and before
+// the ends, slices with clamped, crossed, negative and missing bounds,
+// and everything over an empty list.
 func TestVMDifferentialEdgeCases(t *testing.T) {
 	in := Tup{"a": int64(0), "b": int64(7), "f": 0.0, "g": 0.0, "s": "abc", "t": "12x", "p": true, "q": false}
+	toks := &CallExpr{Name: "tokenize", Args: []Expr{&StringLit{V: "w x  y z"}, &StringLit{V: " "}, &Ident{Name: "q"}}}
+	none := &CallExpr{Name: "tokenize", Args: []Expr{&StringLit{V: ""}, &StringLit{V: " "}, &Ident{Name: "q"}}}
+	flat := func(l Expr) Expr { return &CallExpr{Name: "flatten", Args: []Expr{l}} }
 	cases := []Expr{
+		&IndexExpr{X: toks, I: &IntLit{V: 3}},
+		&IndexExpr{X: toks, I: &IntLit{V: 4}},
+		&IndexExpr{X: toks, I: &IntLit{V: -1}},
+		&IndexExpr{X: none, I: &Ident{Name: "a"}},
+		&IndexExpr{X: &SliceExpr{X: toks, Lo: &IntLit{V: 2}}, I: &IntLit{V: 2}},
+		flat(&SliceExpr{X: toks, Lo: &IntLit{V: 1}, Hi: &IntLit{V: 3}}),
+		flat(&SliceExpr{X: toks, Lo: &IntLit{V: -5}, Hi: &IntLit{V: 99}}),
+		flat(&SliceExpr{X: toks, Lo: &IntLit{V: 3}, Hi: &IntLit{V: 1}}),
+		flat(&SliceExpr{X: toks, Hi: &Ident{Name: "b"}}),
+		flat(&SliceExpr{X: &SliceExpr{X: toks, Lo: &IntLit{V: 1}}, Lo: &IntLit{V: 1}}),
+		flat(none),
+		&CallExpr{Name: "size", Args: []Expr{&SliceExpr{X: toks, Lo: &IntLit{V: 9}}}},
+		&CallExpr{Name: "size", Args: []Expr{&CallExpr{Name: "tokenize", Args: []Expr{&StringLit{V: "w x  y z"}, &StringLit{V: " "}, &Ident{Name: "p"}}}}},
+		&CallExpr{Name: "toString", Args: []Expr{&CondExpr{C: &Ident{Name: "p"}, T: toks, F: none}}},
+		&IndexExpr{X: &CallExpr{Name: "parseMsg", Args: []Expr{&StringLit{V: "uid=1 euid=2 tty=t rhost=r"}}}, I: &IntLit{V: 4}},
+		&IndexExpr{X: &ListLit{Elems: []Expr{&Ident{Name: "s"}, &Ident{Name: "t"}}}, I: &Ident{Name: "a"}},
 		&BinaryExpr{Op: SLASH, X: &IntLit{V: 1}, Y: &Ident{Name: "a"}},
 		&BinaryExpr{Op: PERCENT, X: &Ident{Name: "b"}, Y: &Ident{Name: "a"}},
 		&BinaryExpr{Op: SLASH, X: &FloatLit{V: 1}, Y: &Ident{Name: "g"}},

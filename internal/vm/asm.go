@@ -45,12 +45,15 @@ func (b *Builder) Here() int32 { return int32(len(b.code)) }
 // Depth returns the current modeled stack depth (for sanity asserts).
 func (b *Builder) Depth() int32 { return b.depth }
 
-// effect is each opcode's net stack effect (OpCall is special-cased).
+// effect is each opcode's net stack effect (the calls and OpMakeL,
+// whose effect depends on an operand, are special-cased).
 func effect(op Op) int32 {
 	switch op {
 	case OpConstI, OpConstF, OpConstS, OpLoad, OpLoadSeq:
 		return 1
-	case OpStore, OpPop, OpJumpIfFalse, OpJumpIfTrue,
+	case OpSliceL:
+		return -2
+	case OpStore, OpPop, OpJumpIfFalse, OpJumpIfTrue, OpIndexL,
 		OpAddI, OpSubI, OpMulI, OpDivI, OpModI,
 		OpAddF, OpSubF, OpMulF, OpDivF, OpCatS,
 		OpEqI, OpNeI, OpLtI, OpLeI, OpGtI, OpGeI,
@@ -66,9 +69,12 @@ func effect(op Op) int32 {
 func (b *Builder) Ins(op Op, a, arg2 int32) int32 {
 	pc := b.Here()
 	b.code = append(b.code, Instr{Op: op, A: a, B: arg2})
-	if op == OpCall {
+	switch op {
+	case OpCall, OpCallL:
 		b.depth += 1 - arg2
-	} else {
+	case OpMakeL:
+		b.depth += 1 - a
+	default:
 		b.depth += effect(op)
 	}
 	if b.depth > b.maxDepth {
@@ -124,15 +130,25 @@ func (b *Builder) ConstS(v string) {
 	b.Ins(OpConstS, i, 0)
 }
 
-// Call appends a builtin call by mangled name.
+// Call appends a builtin call by mangled name: OpCallL when the name's
+// signature takes or returns a list, OpCall otherwise.
 func (b *Builder) Call(name string, argc int32) {
+	op := OpCall
+	if sg, _ := sigOf(name); sg.list() {
+		op = OpCallL
+	}
+	b.Ins(op, b.builtin(name), argc)
+}
+
+// builtin interns name in the program's builtin table.
+func (b *Builder) builtin(name string) int32 {
 	i, ok := b.bIdx[name]
 	if !ok {
 		i = int32(len(b.builtins))
 		b.builtins = append(b.builtins, name)
 		b.bIdx[name] = i
 	}
-	b.Ins(OpCall, i, argc)
+	return i
 }
 
 // Jump appends a jump with an unresolved target; Patch resolves it.

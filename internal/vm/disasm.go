@@ -35,8 +35,10 @@ func Disasm(p *Program) string {
 				fmt.Fprintf(&b, " s%d", in.A)
 			case OpJump, OpJumpIfFalse, OpJumpIfTrue:
 				fmt.Fprintf(&b, " @%d", in.A)
-			case OpCall:
+			case OpCall, OpCallL:
 				fmt.Fprintf(&b, " %s/%d", p.Builtins[in.A], in.B)
+			case OpMakeL:
+				fmt.Fprintf(&b, " %d", in.A)
 			}
 			b.WriteByte('\n')
 		}

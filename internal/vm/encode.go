@@ -260,16 +260,22 @@ func Decode(buf []byte) (*Program, error) {
 	return p, nil
 }
 
-// Verify structurally validates a program: segment geometry, slot and
-// constant-pool operand ranges, jump targets confined to the owning
-// segment. Compile and Decode both run it, so an invalid program is
-// rejected before it can index out of bounds mid-tuple.
+// Verify validates a program: segment geometry, slot and constant-pool
+// operand ranges, jump targets confined to the owning segment, scalar
+// layouts, and — by abstract interpretation of every segment
+// (verify.go) — operand-stack discipline and list typing. Compile and
+// Decode both run it, so an invalid program is rejected before it can
+// index out of bounds mid-tuple: a verified, bound program can fault
+// only with *Error or a builtin's own panic.
 func (p *Program) Verify() error {
 	if len(p.Segs) == 0 {
 		return fmt.Errorf("vm: program has no segments")
 	}
-	if p.NumSlots < 0 || p.MaxStack < 0 {
-		return fmt.Errorf("vm: negative geometry")
+	if p.NumSlots < 0 || p.MaxStack < 0 || p.NumSlots > maxGeometry || p.MaxStack > maxGeometry {
+		return fmt.Errorf("vm: geometry (%d slots, %d stack) outside 0..%d", p.NumSlots, p.MaxStack, maxGeometry)
+	}
+	if err := scalarLayout(p.In); err != nil {
+		return fmt.Errorf("vm: program in layout: %w", err)
 	}
 	for i := range p.Segs {
 		s := &p.Segs[i]
@@ -285,6 +291,9 @@ func (p *Program) Verify() error {
 		}
 		if int(s.NOut) != len(s.Out.Fields) {
 			return fmt.Errorf("vm: seg %d out window %d != layout %d", i, s.NOut, len(s.Out.Fields))
+		}
+		if err := scalarLayout(s.Out); err != nil {
+			return fmt.Errorf("vm: seg %d out layout: %w", i, err)
 		}
 		if i+1 < len(p.Segs) && s.NOut != p.Segs[i+1].NIn {
 			return fmt.Errorf("vm: seg %d emits %d attrs, seg %d expects %d", i, s.NOut, i+1, p.Segs[i+1].NIn)
@@ -315,12 +324,20 @@ func (p *Program) Verify() error {
 				if in.A < s.Start || in.A > s.End {
 					return bad("jump target outside segment")
 				}
-			case OpCall:
+			case OpCall, OpCallL:
 				if in.A < 0 || int(in.A) >= len(p.Builtins) {
 					return bad("builtin out of range")
 				}
-				if in.B < 0 || in.B > p.MaxStack {
-					return bad("bad argument count")
+				sg, ok := sigOf(p.Builtins[in.A])
+				if !ok || int(in.B) != len(sg.args) {
+					return bad("argument count does not match the builtin's signature")
+				}
+				if sg.list() != (in.Op == OpCallL) {
+					return bad("wrong call opcode for the builtin's signature")
+				}
+			case OpMakeL:
+				if in.A < 0 {
+					return bad("negative element count")
 				}
 			default:
 				if in.Op >= numOps {
@@ -331,6 +348,20 @@ func (p *Program) Verify() error {
 	}
 	if len(p.In.Fields) != int(p.Segs[0].NIn) {
 		return fmt.Errorf("vm: program in layout %d != seg 0 window %d", len(p.In.Fields), p.Segs[0].NIn)
+	}
+	// Nested segments share one stack, each running above its caller's
+	// live temporaries, so the depths the segments can reach must fit
+	// MaxStack summed.
+	var need int32
+	for i := range p.Segs {
+		d, err := p.verifyFlow(i)
+		if err != nil {
+			return err
+		}
+		need += d
+	}
+	if need > p.MaxStack {
+		return fmt.Errorf("vm: stack %d below the %d the code can reach", p.MaxStack, need)
 	}
 	// A verified program also gets its store-liveness table: an interior
 	// Fresh emit's payload rides the template tuple, and the template is

@@ -19,6 +19,11 @@ func Fuse(progs []*Program) (*Program, error) {
 		return nil, fmt.Errorf("vm: fuse needs at least 2 programs, got %d", len(progs))
 	}
 	f := &Program{In: progs[0].In, codec: progs[0].codec}
+	nCode := 0
+	for _, p := range progs {
+		nCode += len(p.Code)
+	}
+	f.Code = make([]Instr, 0, nCode)
 	bidx := map[string]int32{}
 	for pi, p := range progs {
 		if p.codec == nil {
@@ -47,6 +52,7 @@ func Fuse(progs []*Program) (*Program, error) {
 				j = int32(len(f.Builtins))
 				f.Builtins = append(f.Builtins, name)
 				f.funcs = append(f.funcs, p.funcs[i])
+				f.lfuncs = append(f.lfuncs, p.lfuncs[i])
 				bidx[name] = j
 			}
 			bmap[i] = j
@@ -63,7 +69,7 @@ func Fuse(progs []*Program) (*Program, error) {
 				in.A += slotOff
 			case OpJump, OpJumpIfFalse, OpJumpIfTrue:
 				in.A += codeOff
-			case OpCall:
+			case OpCall, OpCallL:
 				in.A = bmap[in.A]
 			}
 			f.Code = append(f.Code, in)

@@ -27,6 +27,8 @@ type Machine struct {
 	counts []uint64
 	args   []Val
 	seg    int
+	// arena holds the lists the current Run has built (list.go).
+	arena Arena
 	// scratch is the decode staging tuple: Run copies its input here so
 	// the &tuple passed into the codec's Load (an interface call the
 	// compiler can't see through) escapes to the machine, not to a
@@ -41,9 +43,10 @@ type Machine struct {
 }
 
 // Reset sizes the machine for p and clears the per-segment counts.
-// It also zeroes the stack and slot files: a retired program's stale
-// Vals (string lanes especially) must not pin their backing memory for
-// the lifetime of the machine. Call it when switching programs; Run
+// It also zeroes the stack and slot files and the list arena: a retired
+// program's stale Vals (string lanes especially) and the last tuple's
+// tokens must not pin their backing memory for the lifetime of the
+// machine. Call it when switching programs; Run
 // calls it implicitly when the buffers are too small.
 func (m *Machine) Reset(p *Program) {
 	if cap(m.stack) < int(p.MaxStack) {
@@ -60,6 +63,8 @@ func (m *Machine) Reset(p *Program) {
 	for i := range m.slots {
 		m.slots[i] = Val{}
 	}
+	clear(m.arena.strs[:cap(m.arena.strs)])
+	m.arena.strs = m.arena.strs[:0]
 	if cap(m.counts) < len(p.Segs) {
 		m.counts = make([]uint64, len(p.Segs))
 	}
@@ -108,6 +113,7 @@ func (m *Machine) Run(p *Program, t tuple.Tuple, emit Emitter) {
 		m.Reset(p)
 	}
 	s0 := &p.Segs[0]
+	m.arena.strs = m.arena.strs[:0]
 	m.scratch = t
 	p.codec.Load(&m.scratch, p.In, m.slots[s0.InBase:s0.InBase+s0.NIn])
 	m.runSeg(p, 0, t, 0, emit)
@@ -318,7 +324,10 @@ func (m *Machine) runSeg(p *Program, si int, tmpl tuple.Tuple, sp int, emit Emit
 			return
 
 		default:
-			panic(&Error{Seg: si, PC: pc - 1, Msg: "invalid opcode " + in.Op.String()})
+			// The list opcodes run out of line (list.go), so this loop —
+			// which every scalar program pays for — carries none of their
+			// code.
+			sp = m.listOp(p, si, pc-1, in, sp)
 		}
 	}
 }

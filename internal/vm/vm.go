@@ -16,14 +16,24 @@
 // (int64, float64, string) triple and every opcode is typed (OpAddI
 // vs OpAddF vs OpCatS), so the common int/float paths never box into
 // interfaces and never dispatch on a runtime tag. Booleans live in the
-// int lane as 0/1. Operators whose logic needs richer values (lists,
-// nested tuples) simply do not compile and keep their closure path —
-// the VM is an opt-in fast path, never a semantic fork.
+// int lane as 0/1. A list of strings — the one aggregate operator logic
+// needs to tokenize and pick apart text — also lives in the int lane,
+// as an (offset, length) span into the running Machine's string arena
+// (list.go): Val stays 32 bytes, slicing is span arithmetic, indexing
+// is one bounds-checked load, and the arena is reset by every Run, so
+// lists are operator-local temporaries that never reach a tuple
+// layout, a frame or the wire. Verify tracks which stack cells and
+// slots hold lists, so a span can only ever be read by the Run that
+// built it. Operators whose logic needs richer values still (lists of
+// other element types, nested tuples, state) do not compile and keep
+// their closure path — the VM is an opt-in fast path, never a semantic
+// fork.
 package vm
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"streams/internal/tuple"
@@ -41,6 +51,10 @@ const (
 	KStr
 	// KBool is a boolean carried in the int lane as 0/1.
 	KBool
+	// KList is a list of strings: a span into the Machine's arena carried
+	// in the int lane (list.go). It types stack cells and local slots
+	// only; Verify rejects it in any Layout.
+	KList
 )
 
 // String implements fmt.Stringer.
@@ -54,6 +68,8 @@ func (k Kind) String() string {
 		return "str"
 	case KBool:
 		return "bool"
+	case KList:
+		return "list"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -64,7 +80,7 @@ func (k Kind) String() string {
 // three lanes in one struct trades 24 bytes of width for tag-free
 // dispatch: the interpreter never asks a value what it is.
 type Val struct {
-	// I is the int lane (ints and booleans).
+	// I is the int lane (ints, booleans and list spans).
 	I int64
 	// F is the float lane.
 	F float64
@@ -188,6 +204,20 @@ const (
 	// the filter-drop path.
 	OpDrop
 
+	// OpIndexL pops an int index and a list and pushes the element as a
+	// string; an index outside the list panics with *Error.
+	OpIndexL
+	// OpSliceL pops int bounds hi and lo and a list and pushes the
+	// sub-list [lo, hi), both bounds clamped into the list like the
+	// closure evaluator's tolerant slicing — pure span arithmetic.
+	OpSliceL
+	// OpMakeL pops A strings (last element on top) and pushes the list
+	// of them, appended to the arena.
+	OpMakeL
+	// OpCallL is OpCall for list builtins (ListFunc): those taking or
+	// returning a list, which need the machine's arena.
+	OpCallL
+
 	numOps
 )
 
@@ -203,6 +233,7 @@ var opNames = [numOps]string{
 	OpNotB: "not.b",
 	OpJump: "jump", OpJumpIfFalse: "jump.false", OpJumpIfTrue: "jump.true",
 	OpCall: "call", OpEmit: "emit", OpDrop: "drop",
+	OpIndexL: "index.l", OpSliceL: "slice.l", OpMakeL: "make.l", OpCallL: "call.l",
 }
 
 // String implements fmt.Stringer.
@@ -220,7 +251,7 @@ type Instr struct {
 	Op Op
 	// A is the first operand (constant index, slot, target, builtin).
 	A int32
-	// B is the second operand (argument count for OpCall).
+	// B is the second operand (argument count for OpCall and OpCallL).
 	B int32
 }
 
@@ -276,14 +307,18 @@ type Program struct {
 	Ints   []int64
 	Floats []float64
 	Strs   []string
-	// Builtins are the names OpCall resolves through the registry at
-	// Bind time (signature-mangled, e.g. "substring:sii").
+	// Builtins are the names OpCall and OpCallL resolve through the
+	// registry at Bind time (signature-mangled, e.g. "substring:sii",
+	// "tokenize:ssb>l").
 	Builtins []string
 	// Segs are the operator segments in execution order (≥ 1).
 	Segs []Seg
 
 	codec RefCodec
-	funcs []BuiltinFunc
+	// funcs and lfuncs are indexed like Builtins; each name binds in
+	// exactly one of them, chosen by its signature (sigOf).
+	funcs  []BuiltinFunc
+	lfuncs []ListFunc
 	// needStore, computed by Verify, is per-segment: false when the
 	// segment is Fresh but its emit payload can never be observed (some
 	// later segment is also Fresh, so the template is replaced before
@@ -403,19 +438,66 @@ type builtinInfo struct {
 var (
 	regMu       sync.RWMutex
 	builtinReg  = map[string]BuiltinFunc{}
+	listReg     = map[string]ListFunc{}
 	builtinMeta = map[string]builtinInfo{}
 )
 
-// RegisterBuiltin installs a builtin under a signature-mangled name.
-// Registration happens in package init functions (spl, ops); duplicate
-// names panic to surface collisions immediately.
+// sig is the signature a builtin's mangled name carries after the
+// colon: one kind letter per argument (i, f, s, b, or l for a list)
+// and, for builtins returning a list, a trailing ">l". Verify reads it
+// to check call arity and to type list arguments and results, so it
+// must not depend on the process-local registry.
+type sig struct {
+	args    string
+	retList bool
+}
+
+// sigOf parses name's signature; ok is false when the name carries
+// none or it is malformed.
+func sigOf(name string) (sg sig, ok bool) {
+	i := strings.IndexByte(name, ':')
+	if i < 0 {
+		return sig{}, false
+	}
+	sg.args, sg.retList = strings.CutSuffix(name[i+1:], ">l")
+	for _, c := range []byte(sg.args) {
+		if !strings.ContainsRune("ifsbl", rune(c)) {
+			return sig{}, false
+		}
+	}
+	return sg, true
+}
+
+// list reports whether the builtin takes or returns a list — whether
+// it is a ListFunc called by OpCallL rather than a BuiltinFunc.
+func (sg sig) list() bool { return sg.retList || strings.IndexByte(sg.args, 'l') >= 0 }
+
+// RegisterBuiltin installs a scalar builtin under a signature-mangled
+// name ("substring:sii"). Registration happens in package init
+// functions (spl, ops); duplicate, unmangled or list-typed names panic
+// to surface mistakes immediately.
 func RegisterBuiltin(name string, fn BuiltinFunc) {
+	register(name, false, func() { builtinReg[name] = fn })
+}
+
+// RegisterListBuiltin installs a builtin that takes or returns a list
+// ("flatten:l", "tokenize:ssb>l").
+func RegisterListBuiltin(name string, fn ListFunc) {
+	register(name, true, func() { listReg[name] = fn })
+}
+
+func register(name string, list bool, install func()) {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := builtinReg[name]; dup {
+	if sg, ok := sigOf(name); !ok || sg.list() != list {
+		panic("vm: builtin " + name + " has a missing or mismatched signature")
+	}
+	_, dup := builtinReg[name]
+	_, ldup := listReg[name]
+	if dup || ldup {
 		panic("vm: duplicate builtin " + name)
 	}
-	builtinReg[name] = fn
+	install()
 }
 
 // RegisterBuiltinInfo declares a builtin's effect class and result
@@ -441,8 +523,11 @@ func lookupBuiltinInfo(name string) (builtinInfo, bool) {
 func Builtins() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	names := make([]string, 0, len(builtinReg))
+	names := make([]string, 0, len(builtinReg)+len(listReg))
 	for n := range builtinReg {
+		names = append(names, n)
+	}
+	for n := range listReg {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -456,17 +541,23 @@ func Builtins() []string {
 // instead of crashing mid-tuple.
 func (p *Program) Bind(codec RefCodec) error {
 	funcs := make([]BuiltinFunc, len(p.Builtins))
+	lfuncs := make([]ListFunc, len(p.Builtins))
 	regMu.RLock()
 	defer regMu.RUnlock()
 	for i, name := range p.Builtins {
-		fn, ok := builtinReg[name]
+		var ok bool
+		if sg, _ := sigOf(name); sg.list() {
+			lfuncs[i], ok = listReg[name]
+		} else {
+			funcs[i], ok = builtinReg[name]
+		}
 		if !ok {
 			return fmt.Errorf("vm: unknown builtin %q", name)
 		}
-		funcs[i] = fn
 	}
 	p.codec = codec
 	p.funcs = funcs
+	p.lfuncs = lfuncs
 	return nil
 }
 
