@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-adaptive bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick trace-smoke obs-smoke fuzz-smoke
+.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick trace-smoke obs-smoke fuzz-smoke hot-sizes
 
 all: check
 
@@ -60,8 +60,8 @@ chaos-ingest:
 trace-smoke:
 	$(GO) run ./cmd/streamsim -native -w 10 -d 100 -cost 200 -threads 8 \
 		-elastic -adapt 100ms -chaos panic=0.0005 -quarantine 1 \
-		-latency -fairclaim -obs -trace trace-smoke.json -dur 3s
-	$(GO) run ./cmd/tracecheck -strict -require steal,park,quarantine,elastic-level,chain,chain-stop,relax-level,bp-sample trace-smoke.json
+		-latency -obs -trace trace-smoke.json -dur 3s
+	$(GO) run ./cmd/tracecheck -strict -require steal,park,quarantine,elastic-level,chain,chain-stop,bp-sample trace-smoke.json
 	$(GO) run ./cmd/streamsim -native -w 1 -d 12 -cost 50 -threads 2 \
 		-vm -trace trace-vm-smoke.json -dur 2s
 	$(GO) run ./cmd/tracecheck -strict -require chain,vm-fuse,vm-vec trace-vm-smoke.json
@@ -118,22 +118,6 @@ bench-vm:
 		| $(GO) run ./cmd/benchjson > BENCH_vm.json
 	@echo wrote BENCH_vm.json
 
-# bench-adaptive sweeps the contention-adaptive benchmarks and archives
-# them as JSON: the k-relaxed free-list sweep (static width extremes vs
-# the online-adapted width, × threads) and the port-claim latency sweep
-# (back-off vs fair-ticket under oversubscription). Iteration counts are
-# fixed so every mode runs the same workload: 5e6 hint cycles gives the
-# adaptive controller dozens of 2 ms adaptation ticks to converge, and
-# 2e5 claim cycles is long enough that back-off's run-length-proportional
-# starvation tail overtakes the fair line's fixed wait (the crossover the
-# p99 acceptance is about) while keeping the slowest cell (fair, every
-# acquisition through the ticket line) around ~4 minutes.
-bench-adaptive:
-	( $(GO) test -bench BenchmarkAdaptiveFreeList -benchtime=5000000x -run '^$$' ./internal/sched ; \
-	  $(GO) test -bench BenchmarkPortClaim -benchtime=200000x -timeout 20m -run '^$$' ./internal/sched ) \
-		| $(GO) run ./cmd/benchjson > BENCH_adaptive.json
-	@echo wrote BENCH_adaptive.json
-
 # bench-ingest runs the overload SLO experiment (EXPERIMENTS.md): a
 # gold/bronze tenant mix offered 1x and 2x the contracted capacity by
 # open-loop generators over real TCP connections. The archived metrics
@@ -179,3 +163,15 @@ obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs ./cmd/metriczcheck
 	@rm -f /tmp/streamsim-smoke /tmp/obs-smoke.out /tmp/flightrec-smoke.json
 	@echo obs-smoke ok
+
+# hot-sizes prints the machine-code size of the scheduler's and the
+# VM's hot loops as linked into cmd/streamsim. A refactor or deletion
+# that claims "the hot path did not move" runs it on the parent and on
+# the change and diffs the two tables: byte-identical symbols compiled
+# to the same code.
+HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|push|tryChain|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard|executeSpan)|sched\.\(\*ctx\)\.deliver|vm\.\(\*Machine\)\.runSeg
+hot-sizes:
+	@mkdir -p .bench_build
+	@$(GO) build -o .bench_build/streamsim-sizes ./cmd/streamsim
+	@$(GO) tool nm -size .bench_build/streamsim-sizes | awk '$$4 ~ /($(HOT_SYMS))$$/ { printf "%6d  %s\n", $$2, $$4 }' | sort -k2
+	@rm -f .bench_build/streamsim-sizes

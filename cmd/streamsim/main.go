@@ -50,20 +50,18 @@ func main() {
 		every   = flag.Int("every", 5, "print every Nth trace point for figure 11 panels")
 		verbose = flag.Bool("verbose", false, "include context-switch estimates (§5.1)")
 
-		native    = flag.Bool("native", false, "run the real runtime on this host instead of the model")
-		width     = flag.Int("w", 2, "native: data-parallel width")
-		depth     = flag.Int("d", 8, "native: pipeline depth")
-		cost      = flag.Int("cost", 100, "native: flops per tuple")
-		model     = flag.String("model", "dynamic", "native: manual, dedicated or dynamic")
-		threads   = flag.Int("threads", 2, "native: dynamic thread count")
-		dur       = flag.Duration("dur", 2*time.Second, "native: measurement duration")
-		globalfl  = flag.Bool("globalfl", false, "native: use the paper's single global free list instead of the sharded per-thread caches")
-		nochain   = flag.Bool("nochain", false, "native: disable inline chain execution (every flush goes through the queues)")
-		vmFuse    = flag.Bool("vm", false, "native: attach bytecode programs to workers so chain runs execute as fused superinstruction programs")
-		novec     = flag.Bool("novec", false, "native: disable vectorized batch-at-a-time VM execution (fused runs stay on the scalar per-tuple loop)")
-		relax     = flag.Int("relax", 0, "native: free-list relaxation width (0 = adaptive with -elastic, tight otherwise; N>=1 pins the width)")
-		fairclaim = flag.Bool("fairclaim", false, "native: route contended port claims through the fair ticket line")
-		flattopo  = flag.Bool("flat-topo", false, "native: disable topology-aware steal ordering (treat every victim as equally remote)")
+		native   = flag.Bool("native", false, "run the real runtime on this host instead of the model")
+		width    = flag.Int("w", 2, "native: data-parallel width")
+		depth    = flag.Int("d", 8, "native: pipeline depth")
+		cost     = flag.Int("cost", 100, "native: flops per tuple")
+		model    = flag.String("model", "dynamic", "native: manual, dedicated or dynamic")
+		threads  = flag.Int("threads", 2, "native: dynamic thread count")
+		dur      = flag.Duration("dur", 2*time.Second, "native: measurement duration")
+		globalfl = flag.Bool("globalfl", false, "native: use the paper's single global free list instead of the sharded per-thread caches")
+		nochain  = flag.Bool("nochain", false, "native: disable inline chain execution (every flush goes through the queues)")
+		vmFuse   = flag.Bool("vm", false, "native: attach bytecode programs to workers so chain runs execute as fused superinstruction programs")
+		novec    = flag.Bool("novec", false, "native: disable vectorized batch-at-a-time VM execution (fused runs stay on the scalar per-tuple loop)")
+		flattopo = flag.Bool("flat-topo", false, "native: disable topology-aware steal ordering (treat every victim as equally remote)")
 
 		chaos      = flag.String("chaos", "", "native: chaos spec, e.g. panic=0.001,slow=0.001:20us,stall=0.001:20us (see internal/fault)")
 		chaosSeed  = flag.Uint64("chaos-seed", 42, "native: chaos injector seed (deterministic per seed)")
@@ -112,23 +110,12 @@ func main() {
 		if *nochain {
 			chaining = "off"
 		}
-		relaxDesc := "tight"
-		switch {
-		case *relax == 0 && *elastic:
-			relaxDesc = "adaptive"
-		case *relax > 1:
-			relaxDesc = fmt.Sprintf("static %d", *relax)
-		}
-		claim := "backoff"
-		if *fairclaim {
-			claim = "fair"
-		}
 		stealOrder := "topology"
 		if *flattopo {
 			stealOrder = "flat"
 		}
-		fmt.Printf("native run on this host: %s, model %s, threads %d, free list %s, chaining %s, relax %s, claim %s, steal order %s\n",
-			w, m, *threads, freeList, chaining, relaxDesc, claim, stealOrder)
+		fmt.Printf("native run on this host: %s, model %s, threads %d, free list %s, chaining %s, steal order %s\n",
+			w, m, *threads, freeList, chaining, stealOrder)
 		if inj != nil {
 			fmt.Printf("chaos armed: %s (seed %d)\n", *chaos, *chaosSeed)
 		}
@@ -138,8 +125,7 @@ func main() {
 		}
 		cfg := fig.NativeConfig{
 			Model: m, Threads: *threads, Duration: *dur, GlobalFreeList: *globalfl,
-			DisableChain: *nochain, VM: *vmFuse, NoVec: *novec,
-			Relax: *relax, FairClaim: *fairclaim, FlatTopo: *flattopo,
+			DisableChain: *nochain, VM: *vmFuse, NoVec: *novec, FlatTopo: *flattopo,
 			Fault: inj, QuarantineAfter: qa,
 			Elastic: *elastic, AdaptPeriod: *adapt, MaxThreads: *maxthreads,
 		}

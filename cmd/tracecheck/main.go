@@ -75,11 +75,9 @@ var knownNames = func() map[string]bool {
 // typed schema: a chain link must carry its 1-based depth and a
 // non-negative port, a chain-stop must name a known fall-back reason,
 // a steal must carry victim/port and a distance class in [0, 2], a
-// relax-level must carry a width of at least 1, a fair-claim a
-// non-negative wait, a vm-fuse a fused segment count of at least 2
-// on a non-negative port, and a vm-vec (or vm-vec-abort) a vectorized
-// batch of at least one row. Any other event name passes through
-// untouched.
+// vm-fuse a fused segment count of at least 2 on a non-negative port,
+// and a vm-vec (or vm-vec-abort) a vectorized batch of at least one
+// row. Any other event name passes through untouched.
 func checkArgs(e event) error {
 	num := func(key string, min float64) (float64, error) {
 		v, ok := e.Args[key]
@@ -128,20 +126,6 @@ func checkArgs(e event) error {
 		}
 		if d > 2 {
 			return fmt.Errorf("arg \"dist\" = %v, want a distance class in [0, 2]", d)
-		}
-	case "relax-level":
-		if _, err := num("width", 1); err != nil {
-			return err
-		}
-		if _, err := num("rate", 0); err != nil {
-			return err
-		}
-	case "fair-claim":
-		if _, err := num("port", 0); err != nil {
-			return err
-		}
-		if _, err := num("wait_ns", 0); err != nil {
-			return err
 		}
 	case "vm-fuse":
 		if _, err := num("segs", 2); err != nil {

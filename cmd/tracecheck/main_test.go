@@ -22,11 +22,9 @@ func TestCheckValid(t *testing.T) {
 	p := writeFile(t, "ok.json", `{"traceEvents":[
 		{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"x"}},
 		{"name":"drain","ph":"X","ts":1.5,"dur":2.0,"pid":1,"tid":0},
-		{"name":"steal","ph":"i","ts":3.0,"pid":1,"tid":1,"s":"t","args":{"victim":0,"port":4,"dist":1}},
-		{"name":"relax-level","ph":"i","ts":4.0,"pid":1,"tid":1,"s":"t","args":{"width":2,"rate":80}},
-		{"name":"fair-claim","ph":"i","ts":5.0,"pid":1,"tid":1,"s":"t","args":{"port":4,"wait_ns":1200}}
+		{"name":"steal","ph":"i","ts":3.0,"pid":1,"tid":1,"s":"t","args":{"victim":0,"port":4,"dist":1}}
 	]}`)
-	if err := check(p, []string{"steal", "drain", "relax-level", "fair-claim"}, false); err != nil {
+	if err := check(p, []string{"steal", "drain"}, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,16 +60,11 @@ func TestCheckMalformed(t *testing.T) {
 		"stop numeric code":  `{"traceEvents":[{"name":"chain-stop","ph":"i","ts":1,"pid":1,"tid":0,"args":{"reason":3,"port":2}}]}`,
 		"stop negative port": `{"traceEvents":[{"name":"chain-stop","ph":"i","ts":1,"pid":1,"tid":0,"args":{"reason":"lock","port":-1}}]}`,
 
-		// The contention-adaptive instants carry typed payloads too: a
-		// steal names its victim, port and a distance class in [0, 2], a
-		// relax-level a width of at least 1, a fair-claim its wait.
+		// A steal carries a typed payload too: its victim, port and a
+		// distance class in [0, 2].
 		"steal no args":   `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0}]}`,
 		"steal bad dist":  `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"victim":1,"port":2,"dist":7}}]}`,
 		"steal no victim": `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"port":2,"dist":1}}]}`,
-		"relax width 0":   `{"traceEvents":[{"name":"relax-level","ph":"i","ts":1,"pid":1,"tid":0,"args":{"width":0,"rate":5}}]}`,
-		"relax no rate":   `{"traceEvents":[{"name":"relax-level","ph":"i","ts":1,"pid":1,"tid":0,"args":{"width":2}}]}`,
-		"claim no wait":   `{"traceEvents":[{"name":"fair-claim","ph":"i","ts":1,"pid":1,"tid":0,"args":{"port":2}}]}`,
-		"claim bad wait":  `{"traceEvents":[{"name":"fair-claim","ph":"i","ts":1,"pid":1,"tid":0,"args":{"port":2,"wait_ns":-1}}]}`,
 	}
 	for label, body := range cases {
 		p := writeFile(t, "bad.json", body)
@@ -97,8 +90,6 @@ func TestCheckAcceptsExport(t *testing.T) {
 	tr.Emit(0, trace.KindChain, trace.PackPair(2, 6))
 	tr.Emit(0, trace.KindChainStop, trace.PackPair(trace.ChainStopOccupied, 6))
 	tr.Emit(0, trace.KindSteal, trace.PackPair(1, 2<<24|9))
-	tr.Emit(0, trace.KindRelax, trace.PackPair(2, 120))
-	tr.Emit(0, trace.KindFairClaim, trace.PackPair(9, 4500))
 	tr.Emit(1, trace.KindBPSample, trace.PackPair(3, 57))
 	tr.Emit(1, trace.KindBPSample, trace.PackPair(-1, 0))
 	tr.Emit(1, trace.KindFlightRec, trace.PackPair(trace.FlightRecQuarantine, 12))
@@ -110,7 +101,7 @@ func TestCheckAcceptsExport(t *testing.T) {
 	// Strict mode on a real export: the exporter may only emit kinds the
 	// checker knows, so adding a kind without a schema breaks here.
 	p := writeFile(t, "export.json", sb.String())
-	if err := check(p, []string{"drain", "steal", "park", "elastic-level", "chain", "chain-stop", "relax-level", "fair-claim", "bp-sample", "flightrec-dump"}, true); err != nil {
+	if err := check(p, []string{"drain", "steal", "park", "elastic-level", "chain", "chain-stop", "bp-sample", "flightrec-dump"}, true); err != nil {
 		t.Fatal(err)
 	}
 }

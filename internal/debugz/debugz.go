@@ -180,15 +180,8 @@ func (s Snapshot) WriteText(w io.Writer) {
 	c := st.Contention
 	fmt.Fprintf(w, "free list: push failures %d, pop failures %d, steals %d, steal misses %d, spills %d\n",
 		c.PushFail, c.PopFail, c.Steal, c.StealMiss, c.Spill)
-	if st.Relax > 1 || c.Lateral > 0 {
-		fmt.Fprintf(w, "relax: width %d, lateral pushes %d\n", st.Relax, c.Lateral)
-	}
 	if c.Steal > 0 && c.StealSMT+c.StealLLC+c.StealRemote > 0 {
 		fmt.Fprintf(w, "steal distance: smt %d, llc %d, remote %d\n", c.StealSMT, c.StealLLC, c.StealRemote)
-	}
-	if cw := st.ClaimWait; cw.Total > 0 {
-		fmt.Fprintf(w, "fair claim: n=%d p50≤%v p99≤%v max≤%v\n", cw.Total,
-			time.Duration(cw.Quantile(0.50)), time.Duration(cw.Quantile(0.99)), time.Duration(cw.Max()))
 	}
 	if ch := st.Chain; ch != (metrics.ChainSnapshot{}) {
 		fmt.Fprintf(w, "chain: starts %d, links %d, tuples %d, stops depth %d budget %d lock %d occupied %d\n",

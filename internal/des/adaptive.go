@@ -1,67 +1,22 @@
-// The contention-adaptive extensions of the DES: a policy-level model
-// of the native scheduler's sharded free list with k-relaxed lateral
-// releases and nearest-first stealing (internal/sched), and of the
-// port-claim alternatives behind the producer enforcer flag — legacy
-// atomic claim, exponential back-off, and the fair ticket line
-// (lfq.Enforcer.FairTicket). The DES versions trade the lock-free
-// machinery for exact sequential structures so the *policies* can be
-// checked at controlled core counts: work conservation (no hint is
-// ever stranded), starvation freedom of the claim line, and the
-// relaxation bound (a hint never lands farther than rank k-1).
+// The sharded free list in the DES: a policy-level model of the native
+// scheduler's per-thread shards with nearest-first stealing and a
+// global spill list (internal/sched). The DES version trades the
+// lock-free machinery for exact sequential structures so the *policy*
+// can be checked at controlled core counts: work conservation — no
+// hint is ever stranded or duplicated, across elastic shrink and regrow
+// included.
 package des
 
 import "fmt"
 
-// ClaimPolicy selects how an fPush resolves producer-lock contention.
-type ClaimPolicy int
-
-const (
-	// ClaimAtomic is the legacy model: try-lock and push in one simulated
-	// action; contention (or a full queue) falls straight into reSchedule.
-	ClaimAtomic ClaimPolicy = iota
-	// ClaimBackoff holds the claim across two actions (acquire, then
-	// push) and retries a contended acquire after exponential back-off —
-	// the native scheduler's default contended-push behaviour.
-	ClaimBackoff
-	// ClaimFair queues contended claimants on a ticket line per port and
-	// hands the lock directly to the head waiter on release — the native
-	// Config.FairClaim path.
-	ClaimFair
-)
-
-func (p ClaimPolicy) String() string {
-	switch p {
-	case ClaimAtomic:
-		return "atomic"
-	case ClaimBackoff:
-		return "backoff"
-	case ClaimFair:
-		return "fair"
-	default:
-		return fmt.Sprintf("ClaimPolicy(%d)", int(p))
-	}
-}
-
-// nextRand draws 32 deterministic bits from the thread's jitter state
-// (the release-rank choice, mirroring sched.thread.nextRand).
-func (t *thread) nextRand() uint32 {
-	x := t.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	t.rng = x
-	return uint32(x >> 32)
-}
-
-// initSharded builds the per-scheduler-thread shard LIFOs, inbox FIFOs
-// and nearest-first victim orders. With LLCGroups, same-group victims
-// come first (ascending thread ID), then the rest; without, the order
-// is flat: every other thread ascending — the same shape
+// initSharded builds the per-scheduler-thread shard LIFOs and
+// nearest-first victim orders. With LLCGroups, same-group victims come
+// first (ascending thread ID), then the rest; without, the order is
+// flat: every other thread ascending — the same shape
 // cpuutil.Topology.VictimOrder produces for the native scheduler.
 func (s *Sim) initSharded() {
 	n := s.cfg.Threads
 	s.shards = make([][]int, n)
-	s.inboxes = make([][]int, n)
 	s.victims = make([][]int, n)
 	for i := 0; i < n; i++ {
 		var near, far []int
@@ -79,19 +34,12 @@ func (s *Sim) initSharded() {
 	}
 }
 
-// popFreeSharded is a scheduler thread's sharded hint lookup: own inbox
-// (lateral hints, FIFO), own shard (cache-warm, LIFO), steal from the
-// victims nearest-first (their shard's cold end, then their inbox), and
-// finally the global spill list. All structures are always reachable by
-// every thread, so shrinking the relaxation width mid-run can never
+// popFreeSharded is a scheduler thread's sharded hint lookup: own shard
+// (cache-warm, LIFO), steal from the victims nearest-first (their
+// shard's cold end), and finally the global spill list. Every shard is
+// always reachable by every thread, so parking a thread can never
 // strand a hint — the invariant CheckHintConservation verifies.
 func (s *Sim) popFreeSharded(t *thread) (int, bool) {
-	if ib := s.inboxes[t.id]; len(ib) > 0 {
-		p := ib[0]
-		s.inboxes[t.id] = ib[1:]
-		s.onList[p] = false
-		return p, true
-	}
 	if sh := s.shards[t.id]; len(sh) > 0 {
 		p := sh[len(sh)-1]
 		s.shards[t.id] = sh[:len(sh)-1]
@@ -105,12 +53,6 @@ func (s *Sim) popFreeSharded(t *thread) (int, bool) {
 			s.onList[p] = false
 			return p, true
 		}
-		if ib := s.inboxes[v]; len(ib) > 0 {
-			p := ib[0]
-			s.inboxes[v] = ib[1:]
-			s.onList[p] = false
-			return p, true
-		}
 	}
 	if len(s.freeList) > 0 {
 		p := s.freeList[0]
@@ -121,117 +63,11 @@ func (s *Sim) popFreeSharded(t *thread) (int, bool) {
 	return 0, false
 }
 
-// pushFreeSharded releases a hint from scheduler thread tid: rank 0
-// keeps it on the releaser's own shard; ranks 1..k-1 push it laterally
-// into the rank'th-nearest victim's inbox (the k-relaxed release).
-func (s *Sim) pushFreeSharded(tid, p int) {
-	t := s.threads[tid]
-	if w := min(s.cfg.Relax, len(s.victims[tid])+1); w > 1 {
-		if r := int(t.nextRand() % uint32(w)); r > 0 {
-			v := s.victims[tid][r-1]
-			s.inboxes[v] = append(s.inboxes[v], p)
-			s.res.Lateral++
-			if r > s.res.MaxRelaxRank {
-				s.res.MaxRelaxRank = r
-			}
-			return
-		}
-	}
-	s.shards[tid] = append(s.shards[tid], p)
-}
-
-// stepPushClaim is the fPush state machine under the non-atomic claim
-// policies: acquire the producer lock in one action, push and release
-// in the next, so contention for the claim is observable between them.
-func (s *Sim) stepPushClaim(tid int, t *thread, f *frame) {
-	q := s.queues[f.tuple.port]
-	c := s.cfg.Costs
-	if f.locked {
-		// Second phase: we hold the producer lock; push and release.
-		ok := q.push(f.tuple)
-		f.locked = false
-		s.releaseProd(q)
-		dur := c.QueueOpNs + c.LockNs
-		if ok {
-			s.arrivedAtPort[f.tuple.port]++
-			t.stack = t.stack[:len(t.stack)-1]
-			s.schedule(tid, s.charge(t, dur))
-			return
-		}
-		// Full: the lock is already released above, so the reSchedule
-		// drain cannot deadlock the ticket line.
-		s.res.Reschedules++
-		if !q.consLocked {
-			q.consLocked = true
-			t.stack = append(t.stack, frame{kind: fDrain, port: f.tuple.port, limit: s.cfg.ReschedLimit})
-		}
-		s.schedule(tid, s.charge(t, dur))
-		return
-	}
-	if !q.prodLocked {
-		q.prodLocked = true
-		f.locked = true
-		s.recordClaimWait(f)
-		t.backoff = c.BackoffStartNs
-		s.schedule(tid, s.charge(t, c.LockNs))
-		return
-	}
-	// Contended claim.
-	if f.claimStart == 0 {
-		f.claimStart = s.now
-	}
-	if s.cfg.ClaimPolicy == ClaimFair {
-		// Join the ticket line and block; releaseProd wakes us with the
-		// lock already held (direct handoff).
-		q.waiters = append(q.waiters, tid)
-		t.sliceUsed = 0
-		return
-	}
-	// ClaimBackoff: retry after exponential back-off.
-	delay := t.backoff
-	if t.backoff < c.BackoffMaxNs {
-		t.backoff *= 10
-	}
-	t.sliceUsed = 0 // blocking releases the core
-	s.schedule(tid, c.LockNs+delay)
-}
-
-// releaseProd releases q's producer lock — or, under ClaimFair with a
-// non-empty ticket line, hands it directly to the head waiter without
-// the lock ever becoming observably free (the no-barging property that
-// bounds each claimant's wait by the line length ahead of it).
-func (s *Sim) releaseProd(q *simQueue) {
-	if len(q.waiters) == 0 {
-		q.prodLocked = false
-		return
-	}
-	next := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	nt := s.threads[next]
-	nf := &nt.stack[len(nt.stack)-1]
-	nf.locked = true
-	s.recordClaimWait(nf)
-	nt.backoff = s.cfg.Costs.BackoffStartNs
-	s.schedule(next, 0)
-}
-
-// recordClaimWait accounts a finished claim wait on acquisition.
-func (s *Sim) recordClaimWait(f *frame) {
-	if f.claimStart == 0 {
-		return
-	}
-	s.res.ClaimWaits++
-	if w := s.now - f.claimStart; w > s.res.MaxClaimWaitNs {
-		s.res.MaxClaimWaitNs = w
-	}
-	f.claimStart = 0
-}
-
 // CheckHintConservation verifies the free-structure invariant at the
 // current instant: every port marked on-list appears on exactly one of
-// the global list, a shard, or an inbox, and no off-list port appears
-// anywhere. Tests call it after shrinking the relaxation width or
-// suspending threads to prove no hint was stranded or duplicated.
+// the global list or a shard, and no off-list port appears anywhere.
+// Tests call it after suspending threads to prove no hint was stranded
+// or duplicated.
 func (s *Sim) CheckHintConservation() error {
 	count := make([]int, len(s.onList))
 	for _, p := range s.freeList {
@@ -239,11 +75,6 @@ func (s *Sim) CheckHintConservation() error {
 	}
 	for _, sh := range s.shards {
 		for _, p := range sh {
-			count[p]++
-		}
-	}
-	for _, ib := range s.inboxes {
-		for _, p := range ib {
 			count[p]++
 		}
 	}

@@ -17,16 +17,15 @@ func runSim(t *testing.T, width, depth, cost int, cfg Config) (*Sim, Result) {
 // TestShardedWorkConservation: the sharded free-list model must deliver
 // the same correctness guarantees as the global list — no ordering
 // violations, no starved ports — and every on-list hint must sit on
-// exactly one structure when the run ends, at every relaxation width
-// and victim topology.
+// exactly one structure when the run ends, under the flat and the
+// LLC-grouped victim order.
 func TestShardedWorkConservation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"tight", Config{Cores: 8, Threads: 4, Duration: 5e7, Sharded: true}},
-		{"relax2", Config{Cores: 8, Threads: 4, Duration: 5e7, Relax: 2}},
-		{"relax4-llc", Config{Cores: 8, Threads: 4, Duration: 5e7, Relax: 4,
+		{"llc", Config{Cores: 8, Threads: 4, Duration: 5e7, Sharded: true,
 			LLCGroups: []int{0, 0, 1, 1}}},
 	}
 	for _, tc := range cases {
@@ -48,30 +47,13 @@ func TestShardedWorkConservation(t *testing.T) {
 	}
 }
 
-// TestRelaxationBound: a width-k release must never land a hint past
-// rank k-1, and a tight (k=1) sharded run must never go lateral at all.
-func TestRelaxationBound(t *testing.T) {
-	_, r := runSim(t, 8, 3, 50, Config{Cores: 8, Threads: 6, Duration: 5e7, Relax: 4})
-	if r.Lateral == 0 {
-		t.Fatal("width-4 run recorded no lateral releases")
-	}
-	if r.MaxRelaxRank >= 4 {
-		t.Fatalf("hint landed at rank %d, width is 4", r.MaxRelaxRank)
-	}
-	_, tight := runSim(t, 8, 3, 50, Config{Cores: 8, Threads: 6, Duration: 5e7, Sharded: true})
-	if tight.Lateral != 0 || tight.MaxRelaxRank != 0 {
-		t.Fatalf("tight run went lateral: %d releases, max rank %d", tight.Lateral, tight.MaxRelaxRank)
-	}
-}
-
 // TestShardedShrinkConservation parks threads mid-run (the elastic
-// shrink) with lateral releases on, then resumes: hints parked threads
-// were holding in their shards and inboxes must stay reachable (the
-// steal path covers parked victims), progress must continue, and
-// conservation must hold at the end.
+// shrink), then resumes: hints parked threads were holding in their
+// shards must stay reachable (the steal path covers parked victims),
+// progress must continue, and conservation must hold at the end.
 func TestShardedShrinkConservation(t *testing.T) {
 	g, costOf := buildTopo(t, 8, 3, 50)
-	s, err := New(g, Config{Cores: 8, Threads: 6, Duration: 2e8, Relax: 6, CostOf: costOf})
+	s, err := New(g, Config{Cores: 8, Threads: 6, Duration: 2e8, Sharded: true, CostOf: costOf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,71 +74,6 @@ func TestShardedShrinkConservation(t *testing.T) {
 	}
 	if s.res.OrderViolations != 0 {
 		t.Fatalf("%d order violations across shrink/regrow", s.res.OrderViolations)
-	}
-	if err := s.CheckHintConservation(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestClaimPolicyStarvationFreedom compares the contended-claim
-// policies on a wide fan-in (every chain pushes the same sink port)
-// with oversubscribed cores: both policies must record waits, and the
-// fair ticket line's longest wait must not exceed back-off's — the
-// starvation-freedom property the native FairClaim path buys.
-func TestClaimPolicyStarvationFreedom(t *testing.T) {
-	base := Config{Cores: 2, Threads: 8, Duration: 1e8, QueueCap: 4}
-	claim := func(p ClaimPolicy) Result {
-		cfg := base
-		cfg.ClaimPolicy = p
-		_, r := runSim(t, 16, 1, 20, cfg)
-		if r.SinkTuples == 0 {
-			t.Fatalf("%v delivered nothing", p)
-		}
-		if r.OrderViolations != 0 {
-			t.Fatalf("%v: %d order violations", p, r.OrderViolations)
-		}
-		if r.PortStarved != 0 {
-			t.Fatalf("%v: %d ports starved", p, r.PortStarved)
-		}
-		return r
-	}
-	backoff := claim(ClaimBackoff)
-	fair := claim(ClaimFair)
-	if backoff.ClaimWaits == 0 || fair.ClaimWaits == 0 {
-		t.Fatalf("fan-in produced no claim waits: backoff %d, fair %d",
-			backoff.ClaimWaits, fair.ClaimWaits)
-	}
-	if fair.MaxClaimWaitNs > backoff.MaxClaimWaitNs {
-		t.Fatalf("fair max wait %.3gns exceeds backoff %.3gns",
-			fair.MaxClaimWaitNs, backoff.MaxClaimWaitNs)
-	}
-}
-
-// TestClaimPolicyOrder sanity-checks the two-phase claim against the
-// legacy atomic model on an ordinary pipeline: same guarantees, work
-// still flows.
-func TestClaimPolicyOrder(t *testing.T) {
-	for _, p := range []ClaimPolicy{ClaimAtomic, ClaimBackoff, ClaimFair} {
-		_, r := runSim(t, 1, 20, 100, Config{Cores: 4, Threads: 4, Duration: 5e7, QueueCap: 4, ClaimPolicy: p})
-		if r.SinkTuples == 0 {
-			t.Fatalf("%v delivered nothing", p)
-		}
-		if r.OrderViolations != 0 {
-			t.Fatalf("%v: %d order violations", p, r.OrderViolations)
-		}
-	}
-}
-
-// TestClaimPolicyWithSharding: the adaptive pieces compose — fair
-// claims over a relaxed sharded free list keep every invariant.
-func TestClaimPolicyWithSharding(t *testing.T) {
-	s, r := runSim(t, 8, 2, 50, Config{Cores: 4, Threads: 6, Duration: 5e7,
-		QueueCap: 4, Relax: 3, ClaimPolicy: ClaimFair, LLCGroups: []int{0, 0, 0, 1, 1, 1}})
-	if r.SinkTuples == 0 {
-		t.Fatal("combined run delivered nothing")
-	}
-	if r.OrderViolations != 0 {
-		t.Fatalf("%d order violations", r.OrderViolations)
 	}
 	if err := s.CheckHintConservation(); err != nil {
 		t.Fatal(err)

@@ -106,23 +106,14 @@ type Config struct {
 	// zero work (forwarding only).
 	CostOf func(n *graph.Node) int
 
-	// The contention-adaptive extensions (adaptive.go).
-
 	// Sharded replaces the single global free list with per-thread
-	// shard LIFOs plus lateral-hint inbox FIFOs, stolen nearest-first —
-	// the policy model of the native sharded free list.
+	// shard LIFOs, stolen nearest-first — the policy model of the native
+	// sharded free list (adaptive.go).
 	Sharded bool
-	// Relax is the free-list relaxation width k: a released hint may
-	// land in the releaser's own shard (rank 0) or the inbox of one of
-	// its k-1 nearest victims. 0 and 1 mean tight; > 1 implies Sharded.
-	Relax int
 	// LLCGroups assigns each scheduler thread an LLC group for the
 	// nearest-first victim order (same group first). Nil means flat:
 	// every victim equally remote, ordered by thread ID.
 	LLCGroups []int
-	// ClaimPolicy selects how a push resolves producer-lock contention;
-	// the zero value keeps the legacy atomic-claim model.
-	ClaimPolicy ClaimPolicy
 }
 
 // Result summarizes a run.
@@ -147,19 +138,6 @@ type Result struct {
 	// PortStarved is the number of ports that never executed a tuple
 	// despite receiving one.
 	PortStarved int
-	// Lateral counts released hints that landed in a victim's inbox
-	// instead of the releaser's own shard (Relax > 1 only).
-	Lateral uint64
-	// MaxRelaxRank is the largest rank a released hint ever landed at
-	// (0 = own shard); the relaxation-bound check asserts it stays
-	// below the configured width.
-	MaxRelaxRank int
-	// ClaimWaits counts pushes that found the producer lock held and
-	// had to wait for it (ClaimBackoff and ClaimFair only).
-	ClaimWaits uint64
-	// MaxClaimWaitNs is the longest such wait in simulated nanoseconds
-	// — the starvation-freedom comparison between claim policies.
-	MaxClaimWaitNs float64
 }
 
 // ----- simulated data structures -----
@@ -177,10 +155,6 @@ type simQueue struct {
 	capacity   int
 	prodLocked bool
 	consLocked bool
-	// waiters is the fair-claim ticket line (ClaimFair): threads that
-	// found prodLocked held, in arrival order. Releasing the lock hands
-	// it directly to the head waiter.
-	waiters []int
 }
 
 func (q *simQueue) push(t simTuple) bool {
@@ -236,11 +210,6 @@ type frame struct {
 	port      int
 	processed int
 	limit     int
-	// push (non-atomic claim policies): whether this frame holds the
-	// destination's producer lock, and when it started waiting for it
-	// (0: not waiting).
-	locked     bool
-	claimStart float64
 }
 
 type frameKind int
@@ -275,10 +244,9 @@ type Sim struct {
 	freeList []int // FIFO of port IDs
 	onList   []bool
 	// Sharded free-list model (adaptive.go): per-scheduler-thread shard
-	// LIFOs and lateral-hint inbox FIFOs, plus each thread's precomputed
-	// nearest-first victim order. Nil unless cfg.Sharded.
+	// LIFOs plus each thread's precomputed nearest-first victim order.
+	// Nil unless cfg.Sharded.
 	shards  [][]int
-	inboxes [][]int
 	victims [][]int
 
 	threads []*thread
@@ -328,15 +296,6 @@ func New(g *graph.Graph, cfg Config) (*Sim, error) {
 	}
 	if cfg.Costs == (Costs{}) {
 		cfg.Costs = DefaultCosts()
-	}
-	if cfg.Relax > 1 {
-		cfg.Sharded = true
-	}
-	if cfg.Relax < 1 {
-		cfg.Relax = 1
-	}
-	if cfg.Relax > cfg.Threads {
-		cfg.Relax = cfg.Threads
 	}
 	if cfg.LLCGroups != nil && len(cfg.LLCGroups) != cfg.Threads {
 		return nil, fmt.Errorf("des: LLCGroups has %d entries for %d threads", len(cfg.LLCGroups), cfg.Threads)
@@ -596,10 +555,6 @@ func (s *Sim) stepFrame(tid int, t *thread) {
 		s.schedule(tid, 0)
 
 	case fPush:
-		if s.cfg.ClaimPolicy != ClaimAtomic {
-			s.stepPushClaim(tid, t, f)
-			return
-		}
 		q := s.queues[f.tuple.port]
 		dur := c.LockNs
 		if !q.prodLocked {
@@ -682,17 +637,17 @@ func (s *Sim) popFree(t *thread) (int, bool) {
 	return p, true
 }
 
-// pushFree releases port p from thread tid: a k-relaxed shard release
-// for sharded scheduler threads (adaptive.go), else the back of the
-// global list (source threads always spill globally, like the native
-// runtime's uncontrolled threads).
+// pushFree releases port p from thread tid: onto the releaser's own
+// shard for sharded scheduler threads, else the back of the global list
+// (source threads always spill globally, like the native runtime's
+// uncontrolled threads).
 func (s *Sim) pushFree(tid, p int) {
 	if s.onList[p] {
 		return
 	}
 	s.onList[p] = true
 	if s.cfg.Sharded && tid < s.cfg.Threads {
-		s.pushFreeSharded(tid, p)
+		s.shards[tid] = append(s.shards[tid], p)
 		return
 	}
 	s.freeList = append(s.freeList, p)

@@ -246,14 +246,6 @@ type NativeConfig struct {
 	// disabling vectorized batch-at-a-time execution (streamsim -novec);
 	// the vec-off arm of the vectorization ablation.
 	NoVec bool
-	// Relax sets the free-list relaxation width (streamsim -relax).
-	// 0 means adaptive when Elastic is set (the PE's adaptation loop
-	// drives the width from the contention meters) and tight (width 1)
-	// otherwise; N ≥ 1 pins the width statically.
-	Relax int
-	// FairClaim routes contended port claims through the ticket line
-	// (streamsim -fairclaim); see sched.Config.FairClaim.
-	FairClaim bool
 	// FlatTopo disables the topology-aware steal ordering (streamsim
 	// -flat-topo); every steal victim is treated as equally remote.
 	FlatTopo bool
@@ -357,18 +349,15 @@ func RunNative(w sim.Workload, cfg NativeConfig) (NativeResult, error) {
 		cfg.AdaptPeriod = 250 * time.Millisecond
 	}
 	p, err := pe.New(g, pe.Config{
-		Model:         cfg.Model,
-		Threads:       cfg.Threads,
-		Elastic:       cfg.Elastic,
-		RelaxAdaptive: cfg.Elastic && cfg.Relax == 0,
-		AdaptPeriod:   cfg.AdaptPeriod,
-		MaxThreads:    nativeMaxThreads(cfg),
+		Model:       cfg.Model,
+		Threads:     cfg.Threads,
+		Elastic:     cfg.Elastic,
+		AdaptPeriod: cfg.AdaptPeriod,
+		MaxThreads:  nativeMaxThreads(cfg),
 		Sched: sched.Config{
 			GlobalFreeList: cfg.GlobalFreeList,
 			DisableChain:   cfg.DisableChain,
 			DisableVec:     cfg.NoVec,
-			RelaxWidth:     cfg.Relax,
-			FairClaim:      cfg.FairClaim,
 			FlatTopo:       cfg.FlatTopo,
 		},
 		Fault:           cfg.Fault,

@@ -24,16 +24,6 @@ type Enforcer[T any] struct {
 	_          cacheLinePad
 	consLocked atomic.Bool
 	_          cacheLinePad
-	// Fair-claim ticket lock (Config.FairClaim): producers that opt
-	// into the fair path take a ticket and wait their turn before
-	// competing for prodLocked, so oversubscribed threads acquire the
-	// port in bounded-bypass FIFO order instead of back-off roulette.
-	// Opportunistic Push callers still bypass the queue — but only for
-	// the duration of one queue operation, so the bypass is bounded.
-	fairTail atomic.Uint64
-	_        cacheLinePad
-	fairHead atomic.Uint64
-	_        cacheLinePad
 }
 
 // NewEnforcer returns an Enforcer around a fresh SPSC queue of the given
@@ -92,45 +82,6 @@ func (e *Enforcer[T]) PushN(src []T) int {
 	e.ProdUnlock()
 	return n
 }
-
-// PushEx is Push with the failure causes separated: PushBusy means the
-// producer lock was contended (the queue may well have space), PushFull
-// means the lock was acquired but the queue was full. The fair-claim
-// path needs the distinction — lock contention is what the ticket queue
-// resolves, while a full queue must fall into reSchedule self-help.
-func (e *Enforcer[T]) PushEx(v T) PushResult {
-	if !e.ProdTryLock() {
-		return PushBusy
-	}
-	ok := e.queue.Push(v)
-	e.ProdUnlock()
-	if ok {
-		return PushOK
-	}
-	return PushFull
-}
-
-// FairTicket takes the next place in the fair-claim line. Every ticket
-// taken MUST be retired with FairAdvance after the holder's turn, or
-// the line wedges; the scheduler's fair path therefore never abandons
-// between ticket and advance.
-func (e *Enforcer[T]) FairTicket() uint64 { return e.fairTail.Add(1) - 1 }
-
-// FairTurn reports whether ticket t is at the head of the line. The
-// caller supplies its own wait policy between polls.
-func (e *Enforcer[T]) FairTurn(t uint64) bool { return e.fairHead.Load() == t }
-
-// FairAdvance retires the head ticket, admitting the next holder.
-func (e *Enforcer[T]) FairAdvance() { e.fairHead.Add(1) }
-
-// FairIdle reports whether the fair-claim line is empty. Fair claimants
-// gate their opportunistic fast path on it: skipping the line is allowed
-// only while nobody is waiting in it, which keeps the bypass bounded —
-// once a thread holds a ticket, later fair arrivals queue behind it
-// instead of racing it for every release. (The check-then-push window
-// still admits a bounded handful of in-flight racers; it cannot admit a
-// looping bypasser, which is what starves a line.)
-func (e *Enforcer[T]) FairIdle() bool { return e.fairHead.Load() == e.fairTail.Load() }
 
 // ConsumeN attempts to dequeue up to len(dst) tuples under a single
 // consumer try-lock acquisition. It returns how many tuples were moved

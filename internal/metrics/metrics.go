@@ -104,10 +104,6 @@ type Contention struct {
 	StealMiss *Counter
 	// Spill counts local-shard overflows redirected to the global list.
 	Spill *Counter
-	// Lateral counts port hints released into a neighbor's inbox under
-	// k-relaxation (relax width > 1) instead of the releaser's own
-	// shard.
-	Lateral *Counter
 	// StealSMT/StealLLC/StealRemote break Steal down by topology
 	// distance between thief and victim: same physical core, same
 	// last-level cache, and cross-domain respectively. Their sum equals
@@ -126,7 +122,6 @@ func NewContention(shards int) *Contention {
 		Steal:       NewCounter(shards),
 		StealMiss:   NewCounter(shards),
 		Spill:       NewCounter(shards),
-		Lateral:     NewCounter(shards),
 		StealSMT:    NewCounter(shards),
 		StealLLC:    NewCounter(shards),
 		StealRemote: NewCounter(shards),
@@ -144,18 +139,9 @@ type ContentionSnapshot struct {
 	Steal       uint64 `json:"steal"`
 	StealMiss   uint64 `json:"steal_miss"`
 	Spill       uint64 `json:"spill"`
-	Lateral     uint64 `json:"lateral"`
 	StealSMT    uint64 `json:"steal_smt"`
 	StealLLC    uint64 `json:"steal_llc"`
 	StealRemote uint64 `json:"steal_remote"`
-}
-
-// Events sums the snapshot's contention signals — the events-per-tuple
-// numerator the relaxation controller watches. Lateral is excluded: it
-// is a consequence of widening, and feeding it back would make the
-// controller self-exciting.
-func (s ContentionSnapshot) Events() uint64 {
-	return s.PushFail + s.PopFail + s.Steal + s.StealMiss + s.Spill
 }
 
 // Snapshot sums every meter.
@@ -166,7 +152,6 @@ func (c *Contention) Snapshot() ContentionSnapshot {
 		Steal:       c.Steal.Total(),
 		StealMiss:   c.StealMiss.Total(),
 		Spill:       c.Spill.Total(),
-		Lateral:     c.Lateral.Total(),
 		StealSMT:    c.StealSMT.Total(),
 		StealLLC:    c.StealLLC.Total(),
 		StealRemote: c.StealRemote.Total(),

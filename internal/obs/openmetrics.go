@@ -43,7 +43,7 @@ func escapeLabel(v string) string {
 }
 
 // WriteMetrics renders the newest sample as an OpenMetrics text
-// exposition — every scheduler counter, the elastic/relax gauges, the
+// exposition — every scheduler counter, the elastic level gauge, the
 // per-edge flow series, latency quantiles, and the per-tenant ingest
 // dispositions — terminated by the mandatory # EOF. If no sample has
 // been taken yet it takes one, so a fresh /metricz scrape works.
@@ -75,7 +75,7 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 		v uint64
 	}{
 		{"push_fail", ct.PushFail}, {"pop_fail", ct.PopFail}, {"steal", ct.Steal},
-		{"steal_miss", ct.StealMiss}, {"spill", ct.Spill}, {"lateral", ct.Lateral},
+		{"steal_miss", ct.StealMiss}, {"spill", ct.Spill},
 	} {
 		m.line("streams_contention_total{kind=\"%s\"} %d\n", kv.k, kv.v)
 	}
@@ -112,8 +112,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 
 	m.family("streams_level", "gauge", "Elastic thread level.")
 	m.line("streams_level %d\n", s.Level)
-	m.family("streams_relax", "gauge", "Free-list relaxation width.")
-	m.line("streams_relax %d\n", s.Sched.Relax)
 	m.family("streams_backlog", "gauge", "Total queue occupancy across all edges.")
 	m.line("streams_backlog %d\n", s.Backlog)
 

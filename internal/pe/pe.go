@@ -82,14 +82,6 @@ type Config struct {
 	Threads int
 	// Elastic enables runtime thread adaptation (Dynamic only).
 	Elastic bool
-	// RelaxAdaptive lets the adaptation loop drive the scheduler's
-	// free-list relaxation width from the contention meters (Dynamic
-	// with Elastic only): each period the loop feeds the contention
-	// rate — free-list contention events per executed tuple — to an
-	// elastic.Relaxer and applies the width it returns, widening
-	// multiplicatively under contention and narrowing additively when
-	// it subsides. Off, the width stays at Sched.RelaxWidth (static).
-	RelaxAdaptive bool
 	// AdaptPeriod is the elasticity measurement period. Default 10s,
 	// the product's setting; tests and benchmarks use much less.
 	AdaptPeriod time.Duration
@@ -202,9 +194,6 @@ func New(g *graph.Graph, cfg Config) (*PE, error) {
 	}
 	if cfg.Elastic && cfg.Model != Dynamic {
 		return nil, fmt.Errorf("pe: elasticity requires the dynamic model, got %v", cfg.Model)
-	}
-	if cfg.RelaxAdaptive && !cfg.Elastic {
-		return nil, fmt.Errorf("pe: RelaxAdaptive requires Elastic (the adaptation loop drives the width)")
 	}
 	pe := &PE{
 		g:           g,
@@ -322,24 +311,6 @@ func (pe *PE) adaptLoop() {
 	lt := NewLevelTrace(pe.cfg.Tracer)
 	lt.Observe(ctl.Level(), 0)
 
-	// The relaxation-width controller rides the same loop: one Relaxer
-	// decision per adaptation period, fed by the contention-event rate
-	// over the period. Created only under RelaxAdaptive.
-	var relaxer *elastic.Relaxer
-	var rt *RelaxTrace
-	lastStats := dyn.s.Stats()
-	if pe.cfg.RelaxAdaptive {
-		relaxer, err = elastic.NewRelaxer(elastic.RelaxConfig{
-			Max:     dyn.s.MaxLevel(),
-			Initial: dyn.s.Relax(),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("pe: relax config invalid: %v", err)) // unreachable: inputs validated in New
-		}
-		rt = NewRelaxTrace(pe.cfg.Tracer)
-		rt.Observe(relaxer.Width(), 0)
-	}
-
 	start := time.Now()
 	lastCount := pe.runner.executed()
 	lastAt := start
@@ -365,17 +336,6 @@ func (pe *PE) adaptLoop() {
 			level := ctl.Update(thput)
 			pe.applyLevel(dyn, level)
 			lt.Observe(level, thput)
-			if relaxer != nil {
-				st := dyn.s.Stats()
-				dExec := st.Executed - lastStats.Executed
-				rate := 0.0
-				if dExec > 0 {
-					rate = float64(st.Contention.Events()-lastStats.Contention.Events()) / float64(dExec)
-				}
-				lastStats = st
-				dyn.s.SetRelax(relaxer.Update(rate))
-				rt.Observe(relaxer.Width(), rate)
-			}
 			if pe.cfg.Trace != nil {
 				pe.cfg.Trace(Sample{
 					Elapsed:    now.Sub(start),
@@ -452,46 +412,6 @@ func (lt *LevelTrace) Observe(level int, thput float64) {
 		}
 	}
 	lt.tr.Emit(lt.ring, trace.KindElastic, trace.PackPair(int32(level), uint32(tp)))
-}
-
-// RelaxTrace is the LevelTrace analogue for the relaxation width: one
-// KindRelax event on the controller ring per width change, carrying the
-// width and the contention rate (scaled to events per 1000 executed
-// tuples, saturating) that drove it. Owned by the adaptation loop.
-type RelaxTrace struct {
-	tr   *trace.Tracer
-	ring int
-	last int
-}
-
-// NewRelaxTrace returns a RelaxTrace writing to tr's controller ring.
-// A nil tracer yields a RelaxTrace that swallows observations.
-func NewRelaxTrace(tr *trace.Tracer) *RelaxTrace {
-	rt := &RelaxTrace{tr: tr, last: -1}
-	if tr != nil {
-		rt.ring = tr.Rings() - 1
-	}
-	return rt
-}
-
-// Observe records the width chosen for the next period and the rate
-// that drove the decision, emitting one trace event only on change.
-func (rt *RelaxTrace) Observe(width int, rate float64) {
-	if width == rt.last {
-		return
-	}
-	rt.last = width
-	if !rt.tr.On() {
-		return
-	}
-	r := uint64(0)
-	if rate > 0 {
-		r = uint64(rate * 1000)
-		if r > 1<<32-1 {
-			r = 1<<32 - 1
-		}
-	}
-	rt.tr.Emit(rt.ring, trace.KindRelax, trace.PackPair(int32(width), uint32(r)))
 }
 
 // Level returns the current thread level (0 under the manual model).
@@ -589,12 +509,6 @@ type SchedStats struct {
 	// programs installed, chain batches run as one fused program, the
 	// tuple volume through fused loops, and per-operator fall-backs.
 	VM metrics.VMSnapshot `json:"vm"`
-	// Relax is the free-list relaxation width in effect at snapshot
-	// time (1 = tight own-shard ordering).
-	Relax int `json:"relax"`
-	// ClaimWait snapshots the fair-claim wait-time histogram; empty
-	// unless FairClaim producers actually waited in a ticket line.
-	ClaimWait metrics.HistogramSnapshot `json:"claim_wait"`
 }
 
 // SchedStats returns the dynamic scheduler's slow-path meters (zero
@@ -615,8 +529,6 @@ func (pe *PE) SchedStats() SchedStats {
 		Faults:       st.Faults,
 		Chain:        st.Chain,
 		VM:           st.VM,
-		Relax:        st.Relax,
-		ClaimWait:    st.ClaimWait,
 	}
 }
 

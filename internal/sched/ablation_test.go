@@ -19,14 +19,7 @@ func TestAblationsPreserveCorrectness(t *testing.T) {
 		"tiny-shards":         {MaxThreads: 4, QueueCap: 8, ShardCap: 2},
 		"no-chain":            {MaxThreads: 4, QueueCap: 8, DisableChain: true},
 		"chain-depth-1":       {MaxThreads: 4, QueueCap: 8, ChainDepth: 1},
-		"relax-k2":            {MaxThreads: 4, QueueCap: 8, RelaxWidth: 2},
-		"relax-kmax":          {MaxThreads: 4, QueueCap: 8, RelaxWidth: 4},
-		"fair-claim":          {MaxThreads: 4, QueueCap: 8, FairClaim: true},
 		"flat-topo":           {MaxThreads: 4, QueueCap: 8, FlatTopo: true},
-		"relax-fair-flat": {
-			MaxThreads: 4, QueueCap: 8,
-			RelaxWidth: 4, FairClaim: true, FlatTopo: true,
-		},
 		"all-reversed": {
 			MaxThreads: 4, QueueCap: 8,
 			RetryOnContention: true, BlockOnFullQueue: true,

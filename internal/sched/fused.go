@@ -55,7 +55,7 @@ func (e *fusedEmitter) Emit(t tuple.Tuple) { e.ec.Submit(t, 0) }
 func (s *Scheduler) buildFusedRuns() {
 	// Always allocated: tryChain indexes it unconditionally at commit.
 	s.fusedRuns = make([]*fusedRun, len(s.g.Ports))
-	if s.cfg.DisableVM || s.chainDepth <= 0 {
+	if s.chainDepth <= 0 {
 		return
 	}
 	progOf := func(n *graph.Node) *vm.Program {

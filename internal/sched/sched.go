@@ -69,29 +69,10 @@ type Config struct {
 	// typical graphs never spill, small enough that a thread cannot pin
 	// memory proportional to a huge port set.
 	ShardCap int
-	// RelaxWidth is the initial free-list relaxation width k: a
-	// released port hint may land in any of k candidate locations — the
-	// releaser's own shard (rank 0) or the inboxes of its k-1 nearest
-	// neighbors by topology. 0 and 1 both mean tight (today's
-	// own-shard-only ordering). SetRelax adjusts the width online; the
-	// PE's adaptation loop drives it from the contention meters.
-	RelaxWidth int
-	// FairClaim routes contended port claims through the Enforcer's
-	// ticket line: a producer that loses the port's producer try-lock
-	// takes a ticket and waits its turn instead of joining the back-off
-	// roulette, so oversubscribed threads acquire ports in
-	// bounded-bypass FIFO order. Default off pending benchmarks (see
-	// BENCH_adaptive.json); full queues still fall into reSchedule
-	// self-help either way.
-	FairClaim bool
 	// FlatTopo disables sysfs topology detection for the steal-victim
 	// ordering: every victim is treated as equally remote, recovering
 	// the flat randomized sweep (the -flat-topo ablation).
 	FlatTopo bool
-	// Topology injects an explicit CPU topology for the steal-victim
-	// ordering (tests and the simulator). Nil selects sysfs detection,
-	// or a flat topology under FlatTopo.
-	Topology *cpuutil.Topology
 
 	// ChainDepth bounds how many consecutive downstream operators one
 	// thread may execute inline through the chain path before falling
@@ -99,25 +80,12 @@ type Config struct {
 	// port (graph.InPort.Chainable) whose consumer try-lock this thread
 	// wins and whose queue is empty, the thread runs the downstream
 	// operator directly — no push, no free-list hint cycle, no
-	// cross-thread wake. Default 8; negative disables chaining (same as
-	// DisableChain).
+	// cross-thread wake. Default 8.
 	ChainDepth int
-	// ChainTupleBudget bounds how many tuples one top-level drain batch
-	// may move through inline chain links before the remainder falls
-	// back to the queues, so operators that amplify their input cannot
-	// extend a drain unboundedly and elastic suspension stays prompt.
-	// Default ChainDepth × the batch size (min(QueueCap, 32)) — exactly
-	// enough for a full batch to chain to full depth.
-	ChainTupleBudget int
 	// DisableChain turns the inline chain-execution path off entirely
 	// (the -nochain ablation): every flush goes through the queues as in
 	// the paper's original design.
 	DisableChain bool
-	// DisableVM turns fused superinstruction dispatch off (the -novm
-	// ablation): chain batches always execute through the per-operator
-	// path even when every operator along the run carries a bytecode
-	// program.
-	DisableVM bool
 	// DisableVec turns vectorized batch-at-a-time execution off (the
 	// -novec ablation): fused runs keep their superinstruction form
 	// but always dispatch the scalar per-tuple loop.
@@ -230,16 +198,11 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 	if c.ChainDepth == 0 {
 		c.ChainDepth = 8
 	}
-	if c.ChainDepth < 0 || c.DisableChain {
-		c.DisableChain = true
-		c.ChainDepth = 0
+	if c.ChainDepth < 0 {
+		panic(fmt.Sprintf("sched: ChainDepth %d is negative", c.ChainDepth))
 	}
-	if c.ChainTupleBudget == 0 {
-		bc := c.QueueCap
-		if bc > 32 {
-			bc = 32
-		}
-		c.ChainTupleBudget = c.ChainDepth * bc
+	if c.DisableChain {
+		c.ChainDepth = 0
 	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = 3
@@ -249,15 +212,6 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 	}
 	if c.StallThreshold == 0 {
 		c.StallThreshold = 2 * c.WatchdogInterval
-	}
-	if c.RelaxWidth < 0 {
-		panic(fmt.Sprintf("sched: RelaxWidth %d is negative", c.RelaxWidth))
-	}
-	if c.RelaxWidth == 0 {
-		c.RelaxWidth = 1
-	}
-	if c.RelaxWidth > c.MaxThreads {
-		c.RelaxWidth = c.MaxThreads
 	}
 	return c
 }
@@ -290,25 +244,6 @@ type Scheduler struct {
 	// pushes to or pops the bottom of its shard; any thread may steal.
 	// Unused when useShards is false.
 	shards []*lfq.WSDeque
-	// inboxes are the per-thread lateral hint rings for the k-relaxed
-	// free list: when the relaxation width exceeds 1, a releasing
-	// thread may push a hint into a near neighbor's inbox instead of
-	// its own shard. Any thread may push to or pop from any inbox
-	// (they are MPMC), which is what makes shrinking the width safe:
-	// owners drain their own inbox on every find, thieves sweep all
-	// inboxes, so no hint is ever reachable only through a width that
-	// no longer exists. Unused when useShards is false.
-	inboxes []*lfq.MPMC[int32]
-	// inboxCap is each inbox's capacity (the shard capacity), kept for
-	// bounding inbox drains against concurrent lateral pushes.
-	inboxCap int
-	// relax is the current relaxation width k in [1, MaxThreads],
-	// written by SetRelax (the PE's adaptation loop) and read by every
-	// release; 1 = tight own-shard ordering.
-	relax atomic.Int32
-	// topo orders steal victims nearest-first (SMT sibling → LLC peer →
-	// remote); each Thread caches its own victim order at construction.
-	topo *cpuutil.Topology
 	// useShards selects the sharded free list: the default, reversed by
 	// the GlobalFreeList ablation (and by FreeListLIFO and
 	// BlockOnFullQueue, which are only well-defined on the single
@@ -381,8 +316,12 @@ type Scheduler struct {
 	// Inline chain execution (DESIGN.md "Inline chain execution").
 	// chainable caches graph.InPort.Chainable per port ID so the flush
 	// hot path pays one slice load for the static half of the chain
-	// test; chainDepth and chainBudget0 are the resolved budgets (both 0
-	// when chaining is disabled); chains holds the sharded meters.
+	// test; chainDepth is the resolved link budget and chainBudget0 the
+	// tuple allowance of one top-level batch — chainDepth × batchCap,
+	// exactly enough for a full batch to chain to full depth, so
+	// operators that amplify their input cannot extend a drain
+	// unboundedly and elastic suspension stays prompt (both 0 when
+	// chaining is disabled); chains holds the sharded meters.
 	chainable    []bool
 	chainDepth   int
 	chainBudget0 int
@@ -390,7 +329,7 @@ type Scheduler struct {
 
 	// Fused superinstruction dispatch (fused.go). fusedRuns holds the
 	// precomputed run per entry port (nil = none, including when
-	// DisableVM or chaining is off); vms holds the sharded meters.
+	// chaining is off); vms holds the sharded meters.
 	fusedRuns []*fusedRun
 	vms       *metrics.VM
 
@@ -402,7 +341,6 @@ type Scheduler struct {
 	inj         *fault.Injector
 	tr          *trace.Tracer      // nil when tracing is off
 	latency     *metrics.Histogram // nil when latency measurement is off
-	claimLat    *metrics.Histogram // fair-path port-claim wait times
 	faults      *metrics.Faults
 	faultsSeen  atomic.Bool
 	strikes     []atomic.Int32
@@ -471,13 +409,12 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		portBlockedNs:      make([]atomic.Uint64, nPorts),
 		chainable:          make([]bool, nPorts),
 		chainDepth:         cfg.ChainDepth,
-		chainBudget0:       cfg.ChainTupleBudget,
+		chainBudget0:       cfg.ChainDepth * batchCap,
 		chains:             metrics.NewChain(cfg.MaxThreads + cfg.SourceThreads),
 		vms:                metrics.NewVM(cfg.MaxThreads + cfg.SourceThreads),
 		inj:                cfg.Fault,
 		tr:                 cfg.Tracer,
 		latency:            cfg.Latency,
-		claimLat:           metrics.NewHistogram(cfg.MaxThreads + cfg.SourceThreads),
 		faults:             metrics.NewFaults(cfg.MaxThreads + cfg.SourceThreads),
 		strikes:            make([]atomic.Int32, len(g.Nodes)),
 		quarantined:        make([]atomic.Bool, len(g.Nodes)),
@@ -488,18 +425,15 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		b := make([]tuple.Tuple, batchCap)
 		return &b
 	}
-	s.relax.Store(int32(cfg.RelaxWidth))
+	// topo orders steal victims nearest-first (SMT sibling → LLC peer →
+	// remote); each Thread caches its own victim order below.
+	var topo *cpuutil.Topology
 	if s.useShards {
 		s.shards = make([]*lfq.WSDeque, cfg.MaxThreads)
-		s.inboxes = make([]*lfq.MPMC[int32], cfg.MaxThreads)
-		s.inboxCap = shardCap
-		s.topo = cfg.Topology
-		if s.topo == nil {
-			if cfg.FlatTopo {
-				s.topo = cpuutil.FlatTopology(cfg.MaxThreads)
-			} else {
-				s.topo = cpuutil.DetectTopology()
-			}
+		if cfg.FlatTopo {
+			topo = cpuutil.FlatTopology(cfg.MaxThreads)
+		} else {
+			topo = cpuutil.DetectTopology()
 		}
 	}
 	for i := range s.threads {
@@ -507,9 +441,7 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		if s.useShards {
 			s.shards[i] = lfq.NewWSDeque(shardCap)
 			s.threads[i].shard = s.shards[i]
-			s.inboxes[i] = lfq.NewMPMC[int32](shardCap)
-			s.threads[i].inbox = s.inboxes[i]
-			s.threads[i].victims, s.threads[i].vDist = s.topo.VictimOrder(i, cfg.MaxThreads)
+			s.threads[i].victims, s.threads[i].vDist = topo.VictimOrder(i, cfg.MaxThreads)
 		}
 	}
 	for _, p := range g.Ports {
@@ -639,12 +571,6 @@ type Stats struct {
 	Chain metrics.ChainSnapshot
 	// VM snapshots the fused bytecode-dispatch meters.
 	VM metrics.VMSnapshot
-	// Relax is the relaxation width in effect when the snapshot was
-	// taken (1 = tight own-shard ordering).
-	Relax int
-	// ClaimWait snapshots the fair-path port-claim wait histogram;
-	// empty unless FairClaim claims actually waited in the ticket line.
-	ClaimWait metrics.HistogramSnapshot
 }
 
 // Stats reads every meter in one pass (see the Stats type's contract).
@@ -658,8 +584,6 @@ func (s *Scheduler) Stats() Stats {
 		Faults:        s.faults.Snapshot(),
 		Chain:         s.chains.Snapshot(),
 		VM:            s.vms.Snapshot(),
-		Relax:         int(s.relax.Load()),
-		ClaimWait:     s.claimLat.Snapshot(),
 	}
 }
 
@@ -1202,18 +1126,12 @@ const blockOnFullAttempts = backoffSpinBudget + 3
 
 // push is the paper's Figure 6 entry point: try the enforcer push, and if
 // it fails (full queue or producer-lock contention — we do not
-// distinguish), fall into reSchedule. Under FairClaim the contended-lock
-// case is separated out and resolved through the Enforcer's ticket line
-// instead.
+// distinguish), fall into reSchedule.
 func (s *Scheduler) push(t tuple.Tuple, c *ctx) {
 	if inj := s.inj; inj != nil {
 		inj.StallFault() // chaos seam: let the destination queue run full
 	}
 	q := s.queues[t.Port]
-	if s.cfg.FairClaim {
-		s.pushFair(q, t, c)
-		return
-	}
 	if q.Push(t) {
 		return
 	}
@@ -1238,62 +1156,6 @@ func (s *Scheduler) push(t tuple.Tuple, c *ctx) {
 		}
 	}
 	s.reSchedule(q, t, c)
-}
-
-// pushFair is the fair port-claim path (Config.FairClaim): when the
-// opportunistic push loses the producer try-lock, the thread takes a
-// ticket in the port's fair-claim line and waits its turn, so
-// oversubscribed producers acquire the port in FIFO order instead of
-// back-off roulette. The bypass is bounded two ways: the opportunistic
-// PushEx fast path is taken only while the ticket line is idle — a
-// producer looping on the fast path cannot starve a populated line —
-// and threads on the unfair Push path (queue drains' PushN, reSchedule
-// retries) hold the lock only across one queue operation, so a
-// turn-holder wins the lock CAS within a bounded number of such
-// bypasses. A ticket, once taken, is always
-// retired — even on shutdown — because an abandoned ticket would wedge
-// every claimant behind it; the wait is bounded since every ticket
-// holder ahead either pushes (bounded work) or retires the same way.
-// Full queues are not the ticket line's problem: they fall into
-// reSchedule self-help exactly as on the default path.
-func (s *Scheduler) pushFair(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *ctx) {
-	if q.FairIdle() {
-		switch q.PushEx(t) {
-		case lfq.PushOK:
-			return
-		case lfq.PushFull:
-			s.reSchedule(q, t, c)
-			return
-		}
-	}
-	// Producer lock contended (or a line is already waiting): claim
-	// fairly.
-	start := time.Now()
-	tk := q.FairTicket()
-	b := s.newBackoff()
-	for !q.FairTurn(tk) {
-		b.wait()
-	}
-	b = s.newBackoff()
-	for !q.ProdTryLock() {
-		b.wait()
-	}
-	ok := q.Queue().Push(t)
-	q.ProdUnlock()
-	q.FairAdvance()
-	wait := time.Since(start)
-	s.claimLat.Record(c.tid, wait)
-	if s.tr.On() {
-		w := uint64(wait)
-		if w > 1<<32-1 {
-			w = 1<<32 - 1
-		}
-		s.tr.Emit(c.tid, trace.KindFairClaim, trace.PackPair(t.Port, uint32(w)))
-	}
-	if !ok {
-		// Full queue discovered under the held lock; self-help drains it.
-		s.reSchedule(q, t, c)
-	}
 }
 
 // reSchedule repeatedly alternates between pushing the stuck tuple and
@@ -1697,31 +1559,6 @@ func (s *Scheduler) SetLevel(n int) int {
 	return n
 }
 
-// SetRelax adjusts the free-list relaxation width online (clamped to
-// [1, MaxThreads]) and returns the width in effect. Safe to call from
-// any goroutine at any time, including while releases and steals are in
-// flight: the width only selects where *future* hints land, and every
-// structure a past width could have used (all shards, all inboxes) is
-// always reachable by owners, thieves and the periodic sweep, so
-// shrinking mid-steal strands nothing
-// (TestRelaxShrinkNoStrandedPorts).
-func (s *Scheduler) SetRelax(k int) int {
-	if k < 1 {
-		k = 1
-	}
-	if k > s.cfg.MaxThreads {
-		k = s.cfg.MaxThreads
-	}
-	s.relax.Store(int32(k))
-	return k
-}
-
-// Relax returns the relaxation width currently in effect.
-func (s *Scheduler) Relax() int { return int(s.relax.Load()) }
-
-// ClaimWait returns a snapshot of the fair-claim wait histogram.
-func (s *Scheduler) ClaimWait() metrics.HistogramSnapshot { return s.claimLat.Snapshot() }
-
 // Level returns the current thread level.
 func (s *Scheduler) Level() int {
 	s.levelMu.Lock()
@@ -2003,26 +1840,18 @@ const (
 	globalPollBatch = 8
 )
 
-// findWorkSharded is the sharded work search: the thread's own lateral
-// inbox and LIFO cache first (no shared cache lines and no CAS in the
-// common case), then the other threads' shards and inboxes in
-// nearest-first topology order (work stealing, oldest hint first), then
-// the global spill list. The periodic tick polls the global list and
-// sweeps every inbox, so neither a spilled port nor a hint lateral-
-// pushed to a since-parked thread can starve while local work is
-// plentiful.
+// findWorkSharded is the sharded work search: the thread's own LIFO
+// cache first (no shared cache lines and no CAS in the common case),
+// then the other threads' shards in nearest-first topology order (work
+// stealing, oldest hint first), then the global spill list. The
+// periodic tick polls the global list first, so a spilled port cannot
+// starve while local work is plentiful.
 func (s *Scheduler) findWorkSharded(t *tuple.Tuple, thr *Thread) bool {
 	if thr.findTick++; thr.findTick >= globalPollEvery {
 		thr.findTick = 0
 		if s.pollGlobal(t, thr) {
 			return true
 		}
-		if s.sweepInboxes(t, thr) {
-			return true
-		}
-	}
-	if s.popInbox(t, thr) {
-		return true
 	}
 	if s.popLocal(t, thr) {
 		return true
@@ -2031,45 +1860,6 @@ func (s *Scheduler) findWorkSharded(t *tuple.Tuple, thr *Thread) bool {
 		return true
 	}
 	return s.pollGlobal(t, thr)
-}
-
-// popInbox drains the thread's own lateral-hint inbox (k-relaxed
-// releases from neighbors land here). The walk is bounded by the inbox
-// capacity: concurrent lateral pushes could otherwise extend it
-// indefinitely, and anything left past the bound is found by the next
-// find or the periodic sweep.
-func (s *Scheduler) popInbox(t *tuple.Tuple, thr *Thread) bool {
-	var port int32
-	for i := 0; i < s.inboxCap; i++ {
-		if !thr.inbox.Pop(&port) {
-			return false
-		}
-		if s.tryTake(port, t) {
-			return true
-		}
-		s.makePortFree(port, thr)
-	}
-	return false
-}
-
-// sweepInboxes pops one hint from every other thread's inbox — the
-// safety net that reclaims hints lateral-pushed to a thread that has
-// since parked (a parked thread's own-inbox drain no longer runs, and
-// unlike its shard it cannot flush its inbox on the way down: others
-// keep pushing). Paced with the periodic global poll, so the steady-
-// state cost is one contended Pop per peer per globalPollEvery finds.
-func (s *Scheduler) sweepInboxes(t *tuple.Tuple, thr *Thread) bool {
-	var port int32
-	for _, v := range thr.victims {
-		if !s.inboxes[v].Pop(&port) {
-			continue
-		}
-		if s.tryTake(port, t) {
-			return true
-		}
-		s.makePortFree(port, thr)
-	}
-	return false
 }
 
 // popLocal walks the thread's own shard top-down: pop, try to take, and
@@ -2102,8 +1892,8 @@ func (s *Scheduler) popLocal(t *tuple.Tuple, thr *Thread) bool {
 	return found
 }
 
-// steal tries every other thread's shard and inbox once, nearest
-// victims first: the thread's topology-ordered victim list is walked in
+// steal tries every other thread's shard once, nearest victims
+// first: the thread's topology-ordered victim list is walked in
 // runs of equal distance (SMT sibling, then LLC peers, then remote),
 // randomizing the start offset within each run so concurrent thieves
 // fan out instead of convoying on one victim. Preferring near victims
@@ -2135,11 +1925,7 @@ func (s *Scheduler) steal(t *tuple.Tuple, thr *Thread) bool {
 				j -= g
 			}
 			v := vs[j]
-			got := s.shards[v].Steal(&port)
-			if !got {
-				got = s.inboxes[v].Pop(&port)
-			}
-			if !got {
+			if !s.shards[v].Steal(&port) {
 				continue
 			}
 			dist := int(ds[gs])
@@ -2196,17 +1982,9 @@ func (s *Scheduler) pollGlobal(t *tuple.Tuple, thr *Thread) bool {
 }
 
 // makePortFree returns a port hint to the free structure: under the
-// sharded design the calling thread's own shard, or — when the
-// relaxation width k exceeds 1 — any of its k-1 nearest neighbors'
-// inboxes (the k-relaxed release: rank 0 is the own shard, ranks
-// 1..k-1 the topology-ordered victims). Relaxing trades hint-ordering
-// quality for release-side spread: under steal contention the lateral
-// push hands the hint directly to the thread that would otherwise have
-// to steal it. Lateral pushes skip suspended targets (best effort; the
-// periodic sweep covers the race) and fall back to the own shard when
-// the target inbox is full or contended, so the hint always lands.
-// Overflow spills to the global list; the global list serves the
-// unsharded ablations directly. Closed ports are dropped.
+// sharded design the calling thread's own shard, spilling to the global
+// list on overflow; the global list serves the unsharded ablations
+// directly. Closed ports are dropped.
 func (s *Scheduler) makePortFree(port int32, thr *Thread) {
 	if s.portClosed[port].Load() {
 		return
@@ -2215,19 +1993,6 @@ func (s *Scheduler) makePortFree(port int32, thr *Thread) {
 	if thr != nil {
 		tid = thr.id
 		if s.useShards {
-			if k := int(s.relax.Load()); k > 1 && len(thr.victims) > 0 {
-				w := k
-				if w > len(thr.victims)+1 {
-					w = len(thr.victims) + 1
-				}
-				if r := int(thr.nextRand() % uint32(w)); r > 0 {
-					v := thr.victims[r-1]
-					if !s.threads[v].suspended.Load() && s.inboxes[v].Push(port) {
-						s.contention.Lateral.Add(tid, 1)
-						return
-					}
-				}
-			}
 			if thr.shard.PushBottom(port) {
 				return
 			}
@@ -2277,29 +2042,15 @@ func (s *Scheduler) parkIfAsked(thr *Thread) {
 	}
 }
 
-// drainShard moves every hint in thr's shard and inbox to the global
-// list, dropping closed ports. PopBottom is owner-only, so this must
-// run on thr's own goroutine (it does: parkIfAsked and schedule's
-// exit). The inbox drain is bounded rather than exhaustive: other
-// threads may lateral-push concurrently and a contended Pop can fail
-// spuriously, so emptiness is not a stable condition — the bound makes
-// the common case (quiet inbox) empty promptly, and the periodic sweep
-// plus thieves' inbox pops reclaim anything that lands after it.
+// drainShard moves every hint in thr's shard to the global list,
+// dropping closed ports. PopBottom is owner-only, so this must run on
+// thr's own goroutine (it does: parkIfAsked and schedule's exit).
 func (s *Scheduler) drainShard(thr *Thread) {
 	if !s.useShards {
 		return
 	}
 	var port int32
 	for thr.shard.PopBottom(&port) {
-		if s.portClosed[port].Load() {
-			continue
-		}
-		s.pushGlobalFree(port, thr.id)
-	}
-	for i := 0; i < 4*s.inboxCap; i++ {
-		if !thr.inbox.Pop(&port) {
-			break
-		}
 		if s.portClosed[port].Load() {
 			continue
 		}

@@ -434,13 +434,20 @@ func TestWindowPunctuationForwarded(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-power-of-two QueueCap did not panic")
-		}
-	}()
 	g := pipelineGraph(t, 1, 1, &ops.Sink{})
-	New(g, Config{QueueCap: 3})
+	for name, cfg := range map[string]Config{
+		"non-power-of-two QueueCap": {QueueCap: 3},
+		"negative ChainDepth":       {ChainDepth: -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			New(g, cfg)
+		}()
+	}
 }
 
 func TestStatsCountersAdvance(t *testing.T) {

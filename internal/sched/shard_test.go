@@ -116,112 +116,6 @@ func TestShardedDrainOnShutdown(t *testing.T) {
 			t.Errorf("shard %d still holds %d hints after shutdown", i, l)
 		}
 	}
-	// Inboxes may retain residue: a lateral push from a thread still on
-	// its way out can land after the owner's bounded drain. That residue
-	// is benign only if every retained hint names a closed port — all
-	// ports are closed once the run completes.
-	for i, ib := range s.inboxes {
-		var port int32
-		for ib.Pop(&port) {
-			if !s.portClosed[port].Load() {
-				t.Errorf("inbox %d retained hint for open port %d after shutdown", i, port)
-			}
-		}
-	}
-}
-
-// TestRelaxShrinkNoStrandedPorts is the k-relaxation analogue of the
-// resize test above: while a wide graph runs with lateral pushes
-// active, the relaxation width churns across its whole range —
-// including repeated shrinks to 1 while steals and lateral pushes are
-// in flight — and the thread level churns at the same time. A hint
-// reachable only through a width that no longer exists would stall the
-// drain (timeout) or lose tuples (wrong sink count); neither may
-// happen, because owners drain their own inbox every find, thieves pop
-// victims' inboxes, and the periodic sweep covers parked threads'
-// inboxes regardless of the current width.
-func TestRelaxShrinkNoStrandedPorts(t *testing.T) {
-	const (
-		n     = 30000
-		width = 24
-	)
-	b := graph.NewBuilder()
-	src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
-	split := b.AddNode(&ops.RoundRobinSplit{Width: width}, 1, width)
-	b.Connect(src, 0, split, 0)
-	snk := &ops.Sink{}
-	sn := b.AddNode(snk, 1, 0)
-	for w := 0; w < width; w++ {
-		wk := b.AddNode(&ops.Worker{}, 1, 1)
-		b.Connect(split, w, wk, 0)
-		b.Connect(wk, 0, sn, 0)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Start wide so lateral pushes flow from the first release; FlatTopo
-	// keeps the victim order host-independent.
-	s := New(g, Config{MaxThreads: 6, QueueCap: 16, ShardCap: 4, RelaxWidth: 6, FlatTopo: true})
-	s.Start(4)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i, node := range g.SourceNodes {
-		wg.Add(1)
-		go func(i int, node *graph.Node) {
-			defer wg.Done()
-			node.Op.(graph.Source).Run(s.SourceSubmitter(node, i), stop)
-			s.SourceDone(node, i)
-		}(i, node)
-	}
-
-	churnDone := make(chan struct{})
-	go func() {
-		defer close(churnDone)
-		rng := rand.New(rand.NewSource(2))
-		for {
-			select {
-			case <-s.Done():
-				return
-			default:
-			}
-			// Bias toward shrinking to 1: the shrink is the hazardous
-			// transition (hints already lateral-pushed under the old
-			// width must stay reachable under the new one).
-			if rng.Intn(3) == 0 {
-				s.SetRelax(1)
-			} else {
-				s.SetRelax(1 + rng.Intn(s.MaxLevel()))
-			}
-			s.SetLevel(1 + rng.Intn(s.MaxLevel()))
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
-	donech := make(chan struct{})
-	go func() { s.Wait(); close(donech) }()
-	select {
-	case <-donech:
-	case <-time.After(60 * time.Second):
-		t.Fatal("scheduler did not drain within 60s: hint stranded by a relax shrink")
-	}
-	<-churnDone
-	close(stop)
-	wg.Wait()
-
-	if got := snk.Count(); got != n {
-		t.Fatalf("sink saw %d tuples, want %d", got, n)
-	}
-	if got, want := s.Executed(), uint64(n*3); got != want {
-		t.Fatalf("Executed = %d, want %d", got, want)
-	}
-	cont := s.Contention()
-	if cont.Lateral == 0 {
-		t.Errorf("RelaxWidth 6 produced no lateral pushes; relaxation path untested")
-	}
-	t.Logf("contention after relax churn: %+v", cont)
 }
 
 // TestGlobalFreeListAblationMatches runs the same graph under the

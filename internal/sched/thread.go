@@ -98,17 +98,11 @@ type Thread struct {
 	// this thread pushes to or pops the bottom; other threads steal from
 	// the top.
 	shard *lfq.WSDeque
-	// inbox is the thread's lateral hint ring (k-relaxed free list):
-	// neighbors push hints here when the relaxation width exceeds 1,
-	// the owner drains it on every find, and thieves may pop it too.
-	// Nil under the same ablations as shard.
-	inbox *lfq.MPMC[int32]
 	// victims is every other thread slot ordered nearest-first by CPU
 	// topology, with vDist holding each victim's distance class
 	// (cpuutil.DistSMT/DistLLC/DistRemote). Built once at construction;
 	// the steal sweep walks equal-distance runs with a randomized start
-	// offset, and the k-relaxed release picks lateral targets from the
-	// prefix.
+	// offset.
 	victims []int32
 	vDist   []uint8
 	// findTick counts findWorkSharded calls to pace the periodic global
@@ -118,7 +112,7 @@ type Thread struct {
 	polled   int32
 	// chainBudget is the inline-chain tuple allowance remaining in the
 	// current top-level drain batch; schedule() refills it from
-	// Config.ChainTupleBudget before each root executeBatch and tryChain
+	// Scheduler.chainBudget0 before each root executeBatch and tryChain
 	// draws it down. Thread-local, no synchronization.
 	chainBudget int
 	// rng is the thread's xorshift state for randomizing steal order;

@@ -147,16 +147,6 @@ func writeTraceEvents(w io.Writer, events []Event, labels []string) error {
 			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
 				"reason": ChainStopReason(reason), "port": port,
 			}))
-		case KindRelax:
-			width, rate := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"width": width, "rate": rate,
-			}))
-		case KindFairClaim:
-			port, waitNs := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"port": port, "wait_ns": waitNs,
-			}))
 		case KindVMFuse:
 			segs, port := UnpackPair(e.Arg)
 			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{

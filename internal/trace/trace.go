@@ -43,8 +43,8 @@ const (
 	// KindRelease marks the end of a port drain; arg is the number of
 	// tuples drained (the batch-drain record).
 	KindRelease
-	// KindSteal marks a port hint taken from another thread's shard or
-	// inbox; arg packs victim<<32|dist<<24|port, where dist is the
+	// KindSteal marks a port hint taken from another thread's shard;
+	// arg packs victim<<32|dist<<24|port, where dist is the
 	// cpuutil steal-distance class (0 SMT sibling, 1 LLC peer, 2
 	// remote) and port occupies the low 24 bits.
 	KindSteal
@@ -73,15 +73,6 @@ const (
 	// KindChainStop marks a chain attempt that fell back to the queue;
 	// arg packs reason<<32|port (see the ChainStop constants).
 	KindChainStop
-	// KindRelax marks a free-list relaxation-width change (or the
-	// initial width observation); arg packs width<<32|rate, where rate
-	// is the observed contention events per 1000 executed tuples
-	// (saturating at 2^32-1).
-	KindRelax
-	// KindFairClaim marks a fair-path port claim that had to wait in
-	// the ticket line; arg packs port<<32|waitNs (saturating at
-	// 2^32-1 ≈ 4.3s).
-	KindFairClaim
 	// KindVMFuse marks a chain batch committed to fused bytecode
 	// dispatch: the whole operator run executed as one superinstruction
 	// program, no per-operator Process calls; arg packs segs<<32|port,
@@ -216,10 +207,6 @@ func (k Kind) String() string {
 		return "chain"
 	case KindChainStop:
 		return "chain-stop"
-	case KindRelax:
-		return "relax-level"
-	case KindFairClaim:
-		return "fair-claim"
 	case KindVMFuse:
 		return "vm-fuse"
 	case KindAdmit:

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -133,17 +134,17 @@ func TestPackPair(t *testing.T) {
 }
 
 func TestKindStringsAreStable(t *testing.T) {
-	// The export uses Kind.String() as the trace_event name and the
-	// smoke test greps for these; renaming is a compatibility break.
-	want := map[Kind]string{
-		KindSteal:      "steal",
-		KindPark:       "park",
-		KindQuarantine: "quarantine",
-		KindElastic:    "elastic-level",
+	// Kinds cross every boundary — the trace_event export, tracecheck,
+	// the flight recorder, the smoke tests' -require lists — by name,
+	// never by number, so the enum may renumber but a rename (or a hole
+	// that prints as "Kind(n)") is a compatibility break.
+	want := []string{
+		"acquire", "release", "steal", "spill", "park", "unpark", "resched",
+		"quarantine", "elastic-level", "chain", "chain-stop", "vm-fuse",
+		"admit", "shed", "throttle", "bp-sample", "flightrec-dump",
+		"vm-vec", "vm-vec-abort",
 	}
-	for k, s := range want {
-		if k.String() != s {
-			t.Fatalf("Kind %d renamed to %q (want %q)", k, k.String(), s)
-		}
+	if got := KindNames(); !slices.Equal(got, want) {
+		t.Fatalf("KindNames() = %v, want %v", got, want)
 	}
 }
