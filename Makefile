@@ -111,7 +111,6 @@ bench-chain:
 # batch sweep (ns/op is per batch there) — and archives the results as
 # JSON. Iterations are fixed so paired cells run the same workload and
 # the closure/vm, chain/fused and scalar/vec ratios are like-for-like.
-# CI's vm smoke gates merges against this file via benchjson -compare.
 bench-vm:
 	( $(GO) test -bench BenchmarkVMDispatch -benchtime=2000000x -run '^$$' ./internal/spl ; \
 	  $(GO) test -bench BenchmarkVMVectorized -benchtime=20000x -run '^$$' ./internal/spl ) \

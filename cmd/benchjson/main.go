@@ -11,18 +11,12 @@
 //
 // The experiment harness uses it to archive contention sweeps in a form
 // plotting scripts can consume without re-parsing bench text.
-//
-// A second mode compares two such archives:
-//
-//	benchjson -compare old.json new.json -max-regress 15
-//
-// exits 1 when any benchmark present in both files regressed its
-// ns/op by more than the given percentage (default 10).
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -47,9 +41,7 @@ type Result struct {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "-compare" {
-		os.Exit(runCompare(os.Args[2:]))
-	}
+	flag.Parse() // no flags: anything passed is rejected as unknown
 	results, err := Parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)

@@ -68,73 +68,3 @@ func TestParseBadLine(t *testing.T) {
 		t.Fatal("malformed benchmark line did not error")
 	}
 }
-
-func mkResult(name, variant string, params map[string]any, ns float64) Result {
-	return Result{Name: name, Variant: variant, Params: params, Iterations: 100, NsPerOp: ns}
-}
-
-func TestCompareWithinThreshold(t *testing.T) {
-	old := []Result{
-		mkResult("VMVectorized", "chain3/vec", map[string]any{"rows": float64(64)}, 100),
-		mkResult("VMDispatch", "single/vm", nil, 50),
-	}
-	cur := []Result{
-		mkResult("VMVectorized", "chain3/vec", map[string]any{"rows": float64(64)}, 110),
-		mkResult("VMDispatch", "single/vm", nil, 45),
-	}
-	var buf strings.Builder
-	if compareResults(old, cur, 15, &buf) {
-		t.Fatalf("10%% slowdown flagged as regression at 15%% threshold:\n%s", buf.String())
-	}
-}
-
-func TestCompareFlagsRegression(t *testing.T) {
-	old := []Result{mkResult("VMDispatch", "chain3/fused-batch", nil, 100)}
-	cur := []Result{mkResult("VMDispatch", "chain3/fused-batch", nil, 130)}
-	var buf strings.Builder
-	if !compareResults(old, cur, 15, &buf) {
-		t.Fatalf("30%% slowdown not flagged at 15%% threshold:\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "REGRESSED") {
-		t.Fatalf("report lacks REGRESSED marker:\n%s", buf.String())
-	}
-}
-
-func TestCompareParamOrderInsensitive(t *testing.T) {
-	// Same benchmark, params built in different insertion order: the
-	// key must still match, so a large delta is caught.
-	old := []Result{mkResult("B", "", map[string]any{"a": float64(1), "b": float64(2)}, 10)}
-	cur := []Result{mkResult("B", "", map[string]any{"b": float64(2), "a": float64(1)}, 20)}
-	var buf strings.Builder
-	if !compareResults(old, cur, 5, &buf) {
-		t.Fatalf("param-reordered benchmark did not match its baseline:\n%s", buf.String())
-	}
-}
-
-func TestCompareBestOfDuplicates(t *testing.T) {
-	// Three -count=3 runs of the same benchmark: compare best-of, so
-	// one noisy run on either side does not move the verdict.
-	old := []Result{mkResult("B", "", nil, 100)}
-	cur := []Result{
-		mkResult("B", "", nil, 150),
-		mkResult("B", "", nil, 104),
-		mkResult("B", "", nil, 140),
-	}
-	var buf strings.Builder
-	if compareResults(old, cur, 15, &buf) {
-		t.Fatalf("best-of-3 at +4%% flagged as regression:\n%s", buf.String())
-	}
-}
-
-func TestCompareMissingAndNewAreNotFailures(t *testing.T) {
-	old := []Result{mkResult("Gone", "", nil, 10)}
-	cur := []Result{mkResult("Fresh", "", nil, 999)}
-	var buf strings.Builder
-	if compareResults(old, cur, 5, &buf) {
-		t.Fatalf("disjoint suites flagged as regression:\n%s", buf.String())
-	}
-	out := buf.String()
-	if !strings.Contains(out, "warn: Gone") || !strings.Contains(out, "note: Fresh") {
-		t.Fatalf("report missing warn/note lines:\n%s", out)
-	}
-}

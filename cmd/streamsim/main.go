@@ -61,7 +61,6 @@ func main() {
 		nochain  = flag.Bool("nochain", false, "native: disable inline chain execution (every flush goes through the queues)")
 		vmFuse   = flag.Bool("vm", false, "native: attach bytecode programs to workers so chain runs execute as fused superinstruction programs")
 		novec    = flag.Bool("novec", false, "native: disable vectorized batch-at-a-time VM execution (fused runs stay on the scalar per-tuple loop)")
-		flattopo = flag.Bool("flat-topo", false, "native: disable topology-aware steal ordering (treat every victim as equally remote)")
 
 		chaos      = flag.String("chaos", "", "native: chaos spec, e.g. panic=0.001,slow=0.001:20us,stall=0.001:20us (see internal/fault)")
 		chaosSeed  = flag.Uint64("chaos-seed", 42, "native: chaos injector seed (deterministic per seed)")
@@ -110,12 +109,8 @@ func main() {
 		if *nochain {
 			chaining = "off"
 		}
-		stealOrder := "topology"
-		if *flattopo {
-			stealOrder = "flat"
-		}
-		fmt.Printf("native run on this host: %s, model %s, threads %d, free list %s, chaining %s, steal order %s\n",
-			w, m, *threads, freeList, chaining, stealOrder)
+		fmt.Printf("native run on this host: %s, model %s, threads %d, free list %s, chaining %s\n",
+			w, m, *threads, freeList, chaining)
 		if inj != nil {
 			fmt.Printf("chaos armed: %s (seed %d)\n", *chaos, *chaosSeed)
 		}
@@ -125,7 +120,7 @@ func main() {
 		}
 		cfg := fig.NativeConfig{
 			Model: m, Threads: *threads, Duration: *dur, GlobalFreeList: *globalfl,
-			DisableChain: *nochain, VM: *vmFuse, NoVec: *novec, FlatTopo: *flattopo,
+			DisableChain: *nochain, VM: *vmFuse, NoVec: *novec,
 			Fault: inj, QuarantineAfter: qa,
 			Elastic: *elastic, AdaptPeriod: *adapt, MaxThreads: *maxthreads,
 		}

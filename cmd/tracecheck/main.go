@@ -74,10 +74,10 @@ var knownNames = func() map[string]bool {
 // checkArgs validates the argument payload of the instants with a
 // typed schema: a chain link must carry its 1-based depth and a
 // non-negative port, a chain-stop must name a known fall-back reason,
-// a steal must carry victim/port and a distance class in [0, 2], a
-// vm-fuse a fused segment count of at least 2 on a non-negative port,
-// and a vm-vec (or vm-vec-abort) a vectorized batch of at least one
-// row. Any other event name passes through untouched.
+// a steal must carry a non-negative victim and port, a vm-fuse a fused
+// segment count of at least 2 on a non-negative port, and a vm-vec (or
+// vm-vec-abort) a vectorized batch of at least one row. Any other event
+// name passes through untouched.
 func checkArgs(e event) error {
 	num := func(key string, min float64) (float64, error) {
 		v, ok := e.Args[key]
@@ -119,13 +119,6 @@ func checkArgs(e event) error {
 		}
 		if _, err := num("port", 0); err != nil {
 			return err
-		}
-		d, err := num("dist", 0)
-		if err != nil {
-			return err
-		}
-		if d > 2 {
-			return fmt.Errorf("arg \"dist\" = %v, want a distance class in [0, 2]", d)
 		}
 	case "vm-fuse":
 		if _, err := num("segs", 2); err != nil {

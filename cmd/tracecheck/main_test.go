@@ -22,7 +22,7 @@ func TestCheckValid(t *testing.T) {
 	p := writeFile(t, "ok.json", `{"traceEvents":[
 		{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"x"}},
 		{"name":"drain","ph":"X","ts":1.5,"dur":2.0,"pid":1,"tid":0},
-		{"name":"steal","ph":"i","ts":3.0,"pid":1,"tid":1,"s":"t","args":{"victim":0,"port":4,"dist":1}}
+		{"name":"steal","ph":"i","ts":3.0,"pid":1,"tid":1,"s":"t","args":{"victim":0,"port":4}}
 	]}`)
 	if err := check(p, []string{"steal", "drain"}, false); err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestCheckValid(t *testing.T) {
 
 func TestCheckRequireMissing(t *testing.T) {
 	p := writeFile(t, "m.json", `{"traceEvents":[
-		{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"victim":1,"port":2,"dist":0}}
+		{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"victim":1,"port":2}}
 	]}`)
 	err := check(p, []string{"steal", "park"}, false)
 	if err == nil || !strings.Contains(err.Error(), "park") {
@@ -60,11 +60,10 @@ func TestCheckMalformed(t *testing.T) {
 		"stop numeric code":  `{"traceEvents":[{"name":"chain-stop","ph":"i","ts":1,"pid":1,"tid":0,"args":{"reason":3,"port":2}}]}`,
 		"stop negative port": `{"traceEvents":[{"name":"chain-stop","ph":"i","ts":1,"pid":1,"tid":0,"args":{"reason":"lock","port":-1}}]}`,
 
-		// A steal carries a typed payload too: its victim, port and a
-		// distance class in [0, 2].
+		// A steal carries a typed payload too: its victim and port.
 		"steal no args":   `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0}]}`,
-		"steal bad dist":  `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"victim":1,"port":2,"dist":7}}]}`,
-		"steal no victim": `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"port":2,"dist":1}}]}`,
+		"steal no port":   `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"victim":1}}]}`,
+		"steal no victim": `{"traceEvents":[{"name":"steal","ph":"i","ts":1,"pid":1,"tid":0,"args":{"port":2}}]}`,
 	}
 	for label, body := range cases {
 		p := writeFile(t, "bad.json", body)
@@ -89,7 +88,6 @@ func TestCheckAcceptsExport(t *testing.T) {
 	tr.Emit(0, trace.KindChain, trace.PackPair(1, 5))
 	tr.Emit(0, trace.KindChain, trace.PackPair(2, 6))
 	tr.Emit(0, trace.KindChainStop, trace.PackPair(trace.ChainStopOccupied, 6))
-	tr.Emit(0, trace.KindSteal, trace.PackPair(1, 2<<24|9))
 	tr.Emit(1, trace.KindBPSample, trace.PackPair(3, 57))
 	tr.Emit(1, trace.KindBPSample, trace.PackPair(-1, 0))
 	tr.Emit(1, trace.KindFlightRec, trace.PackPair(trace.FlightRecQuarantine, 12))
@@ -97,6 +95,11 @@ func TestCheckAcceptsExport(t *testing.T) {
 	var sb strings.Builder
 	if err := tr.Export(&sb); err != nil {
 		t.Fatal(err)
+	}
+	// A steal instant is {victim, port} and nothing else (encoding/json
+	// writes map keys sorted).
+	if !strings.Contains(sb.String(), `"args":{"port":3,"victim":1}`) {
+		t.Fatalf("steal instant is not {victim: 1, port: 3}:\n%s", sb.String())
 	}
 	// Strict mode on a real export: the exporter may only emit kinds the
 	// checker knows, so adding a kind without a schema breaks here.

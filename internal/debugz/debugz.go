@@ -180,9 +180,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	c := st.Contention
 	fmt.Fprintf(w, "free list: push failures %d, pop failures %d, steals %d, steal misses %d, spills %d\n",
 		c.PushFail, c.PopFail, c.Steal, c.StealMiss, c.Spill)
-	if c.Steal > 0 && c.StealSMT+c.StealLLC+c.StealRemote > 0 {
-		fmt.Fprintf(w, "steal distance: smt %d, llc %d, remote %d\n", c.StealSMT, c.StealLLC, c.StealRemote)
-	}
 	if ch := st.Chain; ch != (metrics.ChainSnapshot{}) {
 		fmt.Fprintf(w, "chain: starts %d, links %d, tuples %d, stops depth %d budget %d lock %d occupied %d\n",
 			ch.Starts, ch.Links, ch.Tuples, ch.DepthStops, ch.BudgetStops, ch.LockMisses, ch.Occupied)

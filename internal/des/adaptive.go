@@ -1,6 +1,6 @@
 // The sharded free list in the DES: a policy-level model of the native
-// scheduler's per-thread shards with nearest-first stealing and a
-// global spill list (internal/sched). The DES version trades the
+// scheduler's per-thread shards with work stealing and a global spill
+// list (internal/sched). The DES version trades the
 // lock-free machinery for exact sequential structures so the *policy*
 // can be checked at controlled core counts: work conservation — no
 // hint is ever stranded or duplicated, across elastic shrink and regrow
@@ -9,36 +9,11 @@ package des
 
 import "fmt"
 
-// initSharded builds the per-scheduler-thread shard LIFOs and
-// nearest-first victim orders. With LLCGroups, same-group victims come
-// first (ascending thread ID), then the rest; without, the order is
-// flat: every other thread ascending — the same shape
-// cpuutil.Topology.VictimOrder produces for the native scheduler.
-func (s *Sim) initSharded() {
-	n := s.cfg.Threads
-	s.shards = make([][]int, n)
-	s.victims = make([][]int, n)
-	for i := 0; i < n; i++ {
-		var near, far []int
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if s.cfg.LLCGroups != nil && s.cfg.LLCGroups[j] == s.cfg.LLCGroups[i] {
-				near = append(near, j)
-			} else {
-				far = append(far, j)
-			}
-		}
-		s.victims[i] = append(near, far...)
-	}
-}
-
 // popFreeSharded is a scheduler thread's sharded hint lookup: own shard
-// (cache-warm, LIFO), steal from the victims nearest-first (their
-// shard's cold end), and finally the global spill list. Every shard is
-// always reachable by every thread, so parking a thread can never
-// strand a hint — the invariant CheckHintConservation verifies.
+// (cache-warm, LIFO), steal from every other shard in thread-ID order
+// (the shard's cold end), and finally the global spill list. Every
+// shard is always reachable by every thread, so parking a thread can
+// never strand a hint — the invariant CheckHintConservation verifies.
 func (s *Sim) popFreeSharded(t *thread) (int, bool) {
 	if sh := s.shards[t.id]; len(sh) > 0 {
 		p := sh[len(sh)-1]
@@ -46,8 +21,8 @@ func (s *Sim) popFreeSharded(t *thread) (int, bool) {
 		s.onList[p] = false
 		return p, true
 	}
-	for _, v := range s.victims[t.id] {
-		if sh := s.shards[v]; len(sh) > 0 {
+	for v, sh := range s.shards {
+		if v != t.id && len(sh) > 0 {
 			p := sh[0]
 			s.shards[v] = sh[1:]
 			s.onList[p] = false

@@ -17,16 +17,13 @@ func runSim(t *testing.T, width, depth, cost int, cfg Config) (*Sim, Result) {
 // TestShardedWorkConservation: the sharded free-list model must deliver
 // the same correctness guarantees as the global list — no ordering
 // violations, no starved ports — and every on-list hint must sit on
-// exactly one structure when the run ends, under the flat and the
-// LLC-grouped victim order.
+// exactly one structure when the run ends.
 func TestShardedWorkConservation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
 		{"tight", Config{Cores: 8, Threads: 4, Duration: 5e7, Sharded: true}},
-		{"llc", Config{Cores: 8, Threads: 4, Duration: 5e7, Sharded: true,
-			LLCGroups: []int{0, 0, 1, 1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

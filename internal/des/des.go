@@ -107,13 +107,9 @@ type Config struct {
 	CostOf func(n *graph.Node) int
 
 	// Sharded replaces the single global free list with per-thread
-	// shard LIFOs, stolen nearest-first — the policy model of the native
+	// shard LIFOs with work stealing — the policy model of the native
 	// sharded free list (adaptive.go).
 	Sharded bool
-	// LLCGroups assigns each scheduler thread an LLC group for the
-	// nearest-first victim order (same group first). Nil means flat:
-	// every victim equally remote, ordered by thread ID.
-	LLCGroups []int
 }
 
 // Result summarizes a run.
@@ -244,10 +240,8 @@ type Sim struct {
 	freeList []int // FIFO of port IDs
 	onList   []bool
 	// Sharded free-list model (adaptive.go): per-scheduler-thread shard
-	// LIFOs plus each thread's precomputed nearest-first victim order.
-	// Nil unless cfg.Sharded.
-	shards  [][]int
-	victims [][]int
+	// LIFOs. Nil unless cfg.Sharded.
+	shards [][]int
 
 	threads []*thread
 	// Elastic support (see elastic.go): suspension flags per scheduler
@@ -297,9 +291,6 @@ func New(g *graph.Graph, cfg Config) (*Sim, error) {
 	if cfg.Costs == (Costs{}) {
 		cfg.Costs = DefaultCosts()
 	}
-	if cfg.LLCGroups != nil && len(cfg.LLCGroups) != cfg.Threads {
-		return nil, fmt.Errorf("des: LLCGroups has %d entries for %d threads", len(cfg.LLCGroups), cfg.Threads)
-	}
 	s := &Sim{
 		g:              g,
 		cfg:            cfg,
@@ -331,7 +322,7 @@ func New(g *graph.Graph, cfg Config) (*Sim, error) {
 		s.threads = append(s.threads, t)
 	}
 	if cfg.Sharded {
-		s.initSharded()
+		s.shards = make([][]int, cfg.Threads)
 	}
 	return s, nil
 }

@@ -246,9 +246,6 @@ type NativeConfig struct {
 	// disabling vectorized batch-at-a-time execution (streamsim -novec);
 	// the vec-off arm of the vectorization ablation.
 	NoVec bool
-	// FlatTopo disables the topology-aware steal ordering (streamsim
-	// -flat-topo); every steal victim is treated as equally remote.
-	FlatTopo bool
 	// Fault, if non-nil, arms chaos injection at the runtime's operator
 	// and queue seams for the whole run (streamsim -chaos).
 	Fault *fault.Injector
@@ -358,7 +355,6 @@ func RunNative(w sim.Workload, cfg NativeConfig) (NativeResult, error) {
 			GlobalFreeList: cfg.GlobalFreeList,
 			DisableChain:   cfg.DisableChain,
 			DisableVec:     cfg.NoVec,
-			FlatTopo:       cfg.FlatTopo,
 		},
 		Fault:           cfg.Fault,
 		QuarantineAfter: cfg.QuarantineAfter,

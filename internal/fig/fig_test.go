@@ -109,7 +109,7 @@ func TestRunNativeSmallWorkload(t *testing.T) {
 }
 
 // TestRunNativeAdaptiveAblations exercises the scheduler knobs through
-// the same path the streamsim flags take (-elastic, -flat-topo): each
+// the same path the streamsim flags take (-elastic): each
 // configuration must run the native workload to positive throughput.
 func TestRunNativeAdaptiveAblations(t *testing.T) {
 	if testing.Short() {
@@ -120,7 +120,6 @@ func TestRunNativeAdaptiveAblations(t *testing.T) {
 		cfg  NativeConfig
 	}{
 		{"elastic", NativeConfig{Model: pe.Dynamic, Threads: 2, Elastic: true, MaxThreads: 3, AdaptPeriod: 50 * time.Millisecond}},
-		{"flat-topo", NativeConfig{Model: pe.Dynamic, Threads: 3, FlatTopo: true}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -104,27 +104,17 @@ type Contention struct {
 	StealMiss *Counter
 	// Spill counts local-shard overflows redirected to the global list.
 	Spill *Counter
-	// StealSMT/StealLLC/StealRemote break Steal down by topology
-	// distance between thief and victim: same physical core, same
-	// last-level cache, and cross-domain respectively. Their sum equals
-	// Steal (to within increments in flight).
-	StealSMT    *Counter
-	StealLLC    *Counter
-	StealRemote *Counter
 }
 
 // NewContention returns a Contention set sized for the given number of
 // executing threads (see NewCounter).
 func NewContention(shards int) *Contention {
 	return &Contention{
-		PushFail:    NewCounter(shards),
-		PopFail:     NewCounter(shards),
-		Steal:       NewCounter(shards),
-		StealMiss:   NewCounter(shards),
-		Spill:       NewCounter(shards),
-		StealSMT:    NewCounter(shards),
-		StealLLC:    NewCounter(shards),
-		StealRemote: NewCounter(shards),
+		PushFail:  NewCounter(shards),
+		PopFail:   NewCounter(shards),
+		Steal:     NewCounter(shards),
+		StealMiss: NewCounter(shards),
+		Spill:     NewCounter(shards),
 	}
 }
 
@@ -134,27 +124,31 @@ func NewContention(shards int) *Contention {
 // endpoint) must take one snapshot and render from it, never mix
 // values from two snapshots.
 type ContentionSnapshot struct {
-	PushFail    uint64 `json:"push_fail"`
-	PopFail     uint64 `json:"pop_fail"`
-	Steal       uint64 `json:"steal"`
-	StealMiss   uint64 `json:"steal_miss"`
-	Spill       uint64 `json:"spill"`
-	StealSMT    uint64 `json:"steal_smt"`
-	StealLLC    uint64 `json:"steal_llc"`
-	StealRemote uint64 `json:"steal_remote"`
+	PushFail  uint64 `json:"push_fail"`
+	PopFail   uint64 `json:"pop_fail"`
+	Steal     uint64 `json:"steal"`
+	StealMiss uint64 `json:"steal_miss"`
+	Spill     uint64 `json:"spill"`
+}
+
+// Each calls f once per meter, in declaration order, with the meter's
+// JSON tag as its kind.
+func (s ContentionSnapshot) Each(f func(kind string, v uint64)) {
+	f("push_fail", s.PushFail)
+	f("pop_fail", s.PopFail)
+	f("steal", s.Steal)
+	f("steal_miss", s.StealMiss)
+	f("spill", s.Spill)
 }
 
 // Snapshot sums every meter.
 func (c *Contention) Snapshot() ContentionSnapshot {
 	return ContentionSnapshot{
-		PushFail:    c.PushFail.Total(),
-		PopFail:     c.PopFail.Total(),
-		Steal:       c.Steal.Total(),
-		StealMiss:   c.StealMiss.Total(),
-		Spill:       c.Spill.Total(),
-		StealSMT:    c.StealSMT.Total(),
-		StealLLC:    c.StealLLC.Total(),
-		StealRemote: c.StealRemote.Total(),
+		PushFail:  c.PushFail.Total(),
+		PopFail:   c.PopFail.Total(),
+		Steal:     c.Steal.Total(),
+		StealMiss: c.StealMiss.Total(),
+		Spill:     c.Spill.Total(),
 	}
 }
 
@@ -197,6 +191,15 @@ type FaultsSnapshot struct {
 	DeadLetters    uint64 `json:"dead_letters"`
 	Quarantines    uint64 `json:"quarantines"`
 	WatchdogStalls uint64 `json:"watchdog_stalls"`
+}
+
+// Each calls f once per meter, in declaration order, with the meter's
+// JSON tag as its kind.
+func (s FaultsSnapshot) Each(f func(kind string, v uint64)) {
+	f("op_panics", s.OpPanics)
+	f("dead_letters", s.DeadLetters)
+	f("quarantines", s.Quarantines)
+	f("watchdog_stalls", s.WatchdogStalls)
 }
 
 // Snapshot sums every meter.
@@ -263,6 +266,18 @@ type ChainSnapshot struct {
 	BudgetStops uint64 `json:"budget_stops"`
 	LockMisses  uint64 `json:"lock_misses"`
 	Occupied    uint64 `json:"occupied"`
+}
+
+// Each calls f once per meter, in declaration order, with the meter's
+// JSON tag as its kind.
+func (s ChainSnapshot) Each(f func(kind string, v uint64)) {
+	f("starts", s.Starts)
+	f("links", s.Links)
+	f("tuples", s.Tuples)
+	f("depth_stops", s.DepthStops)
+	f("budget_stops", s.BudgetStops)
+	f("lock_misses", s.LockMisses)
+	f("occupied", s.Occupied)
 }
 
 // Snapshot sums every meter.
@@ -339,6 +354,19 @@ type VMSnapshot struct {
 	VecRows      uint64 `json:"vec_rows"`
 	VecFallbacks uint64 `json:"vec_fallbacks"`
 	VecAborts    uint64 `json:"vec_aborts"`
+}
+
+// Each calls f once per meter, in declaration order, with the meter's
+// JSON tag as its kind.
+func (s VMSnapshot) Each(f func(kind string, v uint64)) {
+	f("programs", s.Programs)
+	f("fused_runs", s.FusedRuns)
+	f("fused_tuples", s.FusedTuples)
+	f("fallbacks", s.Fallbacks)
+	f("vec_batches", s.VecBatches)
+	f("vec_rows", s.VecRows)
+	f("vec_fallbacks", s.VecFallbacks)
+	f("vec_aborts", s.VecAborts)
 }
 
 // Snapshot sums every meter.

@@ -3,8 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -268,6 +270,23 @@ func TestWriteMetricsParses(t *testing.T) {
 	} {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("family %q missing from exposition", want)
+		}
+	}
+	// Every meter of the four scheduler snapshot types is a kind= sample
+	// of its family: a field added to a snapshot without its Each line
+	// fails here instead of staying invisible to scrapers.
+	for fam, snap := range map[string]any{
+		"streams_contention": metrics.ContentionSnapshot{},
+		"streams_faults":     metrics.FaultsSnapshot{},
+		"streams_chain":      metrics.ChainSnapshot{},
+		"streams_vm":         metrics.VMSnapshot{},
+	} {
+		rt := reflect.TypeOf(snap)
+		for i := 0; i < rt.NumField(); i++ {
+			sample := fmt.Sprintf("%s_total{kind=%q} ", fam, rt.Field(i).Tag.Get("json"))
+			if !strings.Contains(buf.String(), sample) {
+				t.Errorf("%s.%s has no /metricz sample %s", rt.Name(), rt.Field(i).Name, sample)
+			}
 		}
 	}
 }

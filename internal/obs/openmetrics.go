@@ -68,46 +68,19 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	m.family("streams_find_failures", "counter", "Work searches that came up empty.")
 	m.line("streams_find_failures_total %d\n", s.Sched.FindFailures)
 
-	m.family("streams_contention", "counter", "Free-structure contention events by kind.")
-	ct := s.Sched.Contention
-	for _, kv := range []struct {
-		k string
-		v uint64
+	for _, fam := range []struct {
+		name, help string
+		each       func(func(kind string, v uint64))
 	}{
-		{"push_fail", ct.PushFail}, {"pop_fail", ct.PopFail}, {"steal", ct.Steal},
-		{"steal_miss", ct.StealMiss}, {"spill", ct.Spill},
+		{"streams_contention", "Free-structure contention events by kind.", s.Sched.Contention.Each},
+		{"streams_faults", "Fault-containment events by kind.", s.Sched.Faults.Each},
+		{"streams_chain", "Inline chain execution meters.", s.Sched.Chain.Each},
+		{"streams_vm", "Fused bytecode dispatch meters.", s.Sched.VM.Each},
 	} {
-		m.line("streams_contention_total{kind=\"%s\"} %d\n", kv.k, kv.v)
-	}
-	m.family("streams_faults", "counter", "Fault-containment events by kind.")
-	ft := s.Sched.Faults
-	for _, kv := range []struct {
-		k string
-		v uint64
-	}{
-		{"op_panics", ft.OpPanics}, {"dead_letters", ft.DeadLetters},
-		{"quarantines", ft.Quarantines}, {"watchdog_stalls", ft.WatchdogStalls},
-	} {
-		m.line("streams_faults_total{kind=\"%s\"} %d\n", kv.k, kv.v)
-	}
-	m.family("streams_chain", "counter", "Inline chain execution meters.")
-	for _, kv := range []struct {
-		k string
-		v uint64
-	}{
-		{"starts", s.Sched.Chain.Starts}, {"links", s.Sched.Chain.Links}, {"tuples", s.Sched.Chain.Tuples},
-	} {
-		m.line("streams_chain_total{kind=\"%s\"} %d\n", kv.k, kv.v)
-	}
-	m.family("streams_vm", "counter", "Fused bytecode dispatch meters.")
-	for _, kv := range []struct {
-		k string
-		v uint64
-	}{
-		{"fused_runs", s.Sched.VM.FusedRuns}, {"fused_tuples", s.Sched.VM.FusedTuples},
-		{"fallbacks", s.Sched.VM.Fallbacks},
-	} {
-		m.line("streams_vm_total{kind=\"%s\"} %d\n", kv.k, kv.v)
+		m.family(fam.name, "counter", fam.help)
+		fam.each(func(kind string, v uint64) {
+			m.line("%s_total{kind=\"%s\"} %d\n", fam.name, kind, v)
+		})
 	}
 
 	m.family("streams_level", "gauge", "Elastic thread level.")

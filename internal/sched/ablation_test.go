@@ -19,7 +19,6 @@ func TestAblationsPreserveCorrectness(t *testing.T) {
 		"tiny-shards":         {MaxThreads: 4, QueueCap: 8, ShardCap: 2},
 		"no-chain":            {MaxThreads: 4, QueueCap: 8, DisableChain: true},
 		"chain-depth-1":       {MaxThreads: 4, QueueCap: 8, ChainDepth: 1},
-		"flat-topo":           {MaxThreads: 4, QueueCap: 8, FlatTopo: true},
 		"all-reversed": {
 			MaxThreads: 4, QueueCap: 8,
 			RetryOnContention: true, BlockOnFullQueue: true,

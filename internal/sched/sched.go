@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streams/internal/cpuutil"
 	"streams/internal/fault"
 	"streams/internal/graph"
 	"streams/internal/lfq"
@@ -59,20 +58,12 @@ type Config struct {
 	// MaxThreads is the size of the scheduler thread table, the largest
 	// thread level elasticity may reach. Default runtime.NumCPU().
 	MaxThreads int
-	// SourceThreads is the number of non-scheduler threads that will
-	// submit tuples (source operator threads); it sizes the metric
-	// shards. Default: the graph's source count.
-	SourceThreads int
 	// ShardCap is the capacity of each thread's local free-port cache
 	// under the sharded free list; it must be a power of two. Default:
 	// the global list's capacity, capped at 256 — large enough that
 	// typical graphs never spill, small enough that a thread cannot pin
 	// memory proportional to a huge port set.
 	ShardCap int
-	// FlatTopo disables sysfs topology detection for the steal-victim
-	// ordering: every victim is treated as equally remote, recovering
-	// the flat randomized sweep (the -flat-topo ablation).
-	FlatTopo bool
 
 	// ChainDepth bounds how many consecutive downstream operators one
 	// thread may execute inline through the chain path before falling
@@ -114,9 +105,6 @@ type Config struct {
 	// StallThreshold is how long a thread may go without a heartbeat
 	// before the watchdog reports it. Default 2×WatchdogInterval.
 	StallThreshold time.Duration
-	// OnStall, if set, observes every watchdog report (thread ID and how
-	// long it has been stuck). Reports are also counted in Faults.
-	OnStall func(tid int, stuckFor time.Duration)
 
 	// Tracer, if set, records scheduler decisions (port acquires and
 	// releases, steals, spills, parks, reschedules, quarantines) into
@@ -170,7 +158,7 @@ type Config struct {
 	GlobalFreeList bool
 }
 
-func (c Config) withDefaults(g *graph.Graph) Config {
+func (c Config) withDefaults() Config {
 	if c.QueueCap == 0 {
 		c.QueueCap = 64
 	}
@@ -188,9 +176,6 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 	}
 	if c.MaxThreads == 0 {
 		c.MaxThreads = runtime.NumCPU()
-	}
-	if c.SourceThreads == 0 {
-		c.SourceThreads = len(g.SourceNodes)
 	}
 	if c.ShardCap != 0 && (c.ShardCap < 1 || c.ShardCap&(c.ShardCap-1) != 0) {
 		panic(fmt.Sprintf("sched: ShardCap %d is not a positive power of two", c.ShardCap))
@@ -361,7 +346,7 @@ type Scheduler struct {
 // launch threads, and use SourceSubmitter/SourceDone to connect source
 // operator threads.
 func New(g *graph.Graph, cfg Config) *Scheduler {
-	cfg = cfg.withDefaults(g)
+	cfg = cfg.withDefaults()
 	nPorts := len(g.Ports)
 	listCap := 1
 	for listCap < nPorts+1 {
@@ -384,6 +369,9 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	if batchCap > 32 {
 		batchCap = 32
 	}
+	// writers sizes the metric shards: one per scheduler thread slot
+	// plus one per source operator thread.
+	writers := cfg.MaxThreads + len(g.SourceNodes)
 	s := &Scheduler{
 		g:                  g,
 		cfg:                cfg,
@@ -399,23 +387,23 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		portClosed:         make([]atomic.Bool, nPorts),
 		threads:            make([]*Thread, cfg.MaxThreads),
 		started:            make([]bool, cfg.MaxThreads),
-		executed:           metrics.NewCounter(cfg.MaxThreads + cfg.SourceThreads),
-		sinkDeliver:        metrics.NewCounter(cfg.MaxThreads + cfg.SourceThreads),
-		reschedules:        metrics.NewCounter(cfg.MaxThreads + cfg.SourceThreads),
-		findFails:          metrics.NewCounter(cfg.MaxThreads + cfg.SourceThreads),
-		contention:         metrics.NewContention(cfg.MaxThreads + cfg.SourceThreads),
+		executed:           metrics.NewCounter(writers),
+		sinkDeliver:        metrics.NewCounter(writers),
+		reschedules:        metrics.NewCounter(writers),
+		findFails:          metrics.NewCounter(writers),
+		contention:         metrics.NewContention(writers),
 		perNode:            make([]atomic.Uint64, len(g.Nodes)),
 		portResched:        make([]atomic.Uint64, nPorts),
 		portBlockedNs:      make([]atomic.Uint64, nPorts),
 		chainable:          make([]bool, nPorts),
 		chainDepth:         cfg.ChainDepth,
 		chainBudget0:       cfg.ChainDepth * batchCap,
-		chains:             metrics.NewChain(cfg.MaxThreads + cfg.SourceThreads),
-		vms:                metrics.NewVM(cfg.MaxThreads + cfg.SourceThreads),
+		chains:             metrics.NewChain(writers),
+		vms:                metrics.NewVM(writers),
 		inj:                cfg.Fault,
 		tr:                 cfg.Tracer,
 		latency:            cfg.Latency,
-		faults:             metrics.NewFaults(cfg.MaxThreads + cfg.SourceThreads),
+		faults:             metrics.NewFaults(writers),
 		strikes:            make([]atomic.Int32, len(g.Nodes)),
 		quarantined:        make([]atomic.Bool, len(g.Nodes)),
 		watchdogStop:       make(chan struct{}),
@@ -425,23 +413,14 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		b := make([]tuple.Tuple, batchCap)
 		return &b
 	}
-	// topo orders steal victims nearest-first (SMT sibling → LLC peer →
-	// remote); each Thread caches its own victim order below.
-	var topo *cpuutil.Topology
 	if s.useShards {
 		s.shards = make([]*lfq.WSDeque, cfg.MaxThreads)
-		if cfg.FlatTopo {
-			topo = cpuutil.FlatTopology(cfg.MaxThreads)
-		} else {
-			topo = cpuutil.DetectTopology()
-		}
 	}
 	for i := range s.threads {
 		s.threads[i] = newThread(i, batchCap)
 		if s.useShards {
 			s.shards[i] = lfq.NewWSDeque(shardCap)
 			s.threads[i].shard = s.shards[i]
-			s.threads[i].victims, s.threads[i].vDist = topo.VictimOrder(i, cfg.MaxThreads)
 		}
 	}
 	for _, p := range g.Ports {
@@ -480,11 +459,11 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 // TraceRings returns how many tracer rings a scheduler built from cfg
 // needs under the single-writer convention: one per scheduler thread
 // slot (rings 0..MaxThreads-1), one per source thread
-// (MaxThreads..MaxThreads+SourceThreads-1), and one final ring for the
-// elasticity controller.
+// (MaxThreads..MaxThreads+len(g.SourceNodes)-1), and one final ring for
+// the elasticity controller.
 func TraceRings(cfg Config, g *graph.Graph) int {
-	cfg = cfg.withDefaults(g)
-	return cfg.MaxThreads + cfg.SourceThreads + 1
+	cfg = cfg.withDefaults()
+	return cfg.MaxThreads + len(g.SourceNodes) + 1
 }
 
 // labelTraceRings names the tracer's rings after the writer convention
@@ -497,10 +476,11 @@ func (s *Scheduler) labelTraceRings() {
 	for i := 0; i < s.cfg.MaxThreads; i++ {
 		s.tr.SetLabel(i, fmt.Sprintf("sched-%d", i))
 	}
-	for i := 0; i < s.cfg.SourceThreads; i++ {
+	sources := len(s.g.SourceNodes)
+	for i := 0; i < sources; i++ {
 		s.tr.SetLabel(s.cfg.MaxThreads+i, fmt.Sprintf("source-%d", i))
 	}
-	if s.tr.Rings() == s.cfg.MaxThreads+s.cfg.SourceThreads+1 {
+	if s.tr.Rings() == s.cfg.MaxThreads+sources+1 {
 		s.tr.SetLabel(s.tr.Rings()-1, "elastic")
 	}
 }
@@ -1647,11 +1627,10 @@ func (s *Scheduler) stopWatchdog() {
 // watchdog periodically sweeps the thread table for threads that are
 // inside operator code (active), not parked, and whose heartbeat epoch
 // has not advanced for longer than StallThreshold. Each stall episode is
-// reported once — counted in Faults.WatchdogStalls, described in
-// LastFault, and delivered to OnStall — and re-arms when the thread's
-// heartbeat moves again. The watchdog only observes per-thread atomics;
-// it never touches scheduling state, so a wedged thread cannot wedge its
-// own detector.
+// reported once — counted in Faults.WatchdogStalls and described in
+// LastFault — and re-arms when the thread's heartbeat moves again. The
+// watchdog only observes per-thread atomics; it never touches
+// scheduling state, so a wedged thread cannot wedge its own detector.
 func (s *Scheduler) watchdog() {
 	defer s.watchdogWG.Done()
 	n := len(s.threads)
@@ -1684,9 +1663,6 @@ func (s *Scheduler) watchdog() {
 					s.faults.WatchdogStalls.Add(i, 1)
 					s.lastFault.Store(fmt.Sprintf(
 						"sched: thread %d stuck in operator code for %v (heartbeat epoch %d)", i, d, hb))
-					if s.cfg.OnStall != nil {
-						s.cfg.OnStall(i, d)
-					}
 				}
 			}
 		}
@@ -1842,10 +1818,10 @@ const (
 
 // findWorkSharded is the sharded work search: the thread's own LIFO
 // cache first (no shared cache lines and no CAS in the common case),
-// then the other threads' shards in nearest-first topology order (work
-// stealing, oldest hint first), then the global spill list. The
-// periodic tick polls the global list first, so a spilled port cannot
-// starve while local work is plentiful.
+// then the other threads' shards from a random start (work stealing,
+// oldest hint first), then the global spill list. The periodic tick
+// polls the global list first, so a spilled port cannot starve while
+// local work is plentiful.
 func (s *Scheduler) findWorkSharded(t *tuple.Tuple, thr *Thread) bool {
 	if thr.findTick++; thr.findTick >= globalPollEvery {
 		thr.findTick = 0
@@ -1892,74 +1868,47 @@ func (s *Scheduler) popLocal(t *tuple.Tuple, thr *Thread) bool {
 	return found
 }
 
-// steal tries every other thread's shard once, nearest victims
-// first: the thread's topology-ordered victim list is walked in
-// runs of equal distance (SMT sibling, then LLC peers, then remote),
-// randomizing the start offset within each run so concurrent thieves
-// fan out instead of convoying on one victim. Preferring near victims
-// keeps the stolen hint — and the port state behind it — within the
-// cache domain that already holds it warm; the per-distance steal
-// meters (StealSMT/StealLLC/StealRemote) report how often that works
-// out. A lost ticket race abandons that victim rather than retrying
-// (the paper's contention principle). Stolen-but-unusable hints
-// recirculate through the stealer's own release path, which also
-// migrates ports away from suspended threads' shards while the owners
-// are not flushing them.
+// steal tries every other shard once, starting at a random victim and
+// wrapping, taking the oldest hint from each non-empty shard it visits;
+// the random start keeps concurrent thieves from convoying on shard 0.
+// A lost ticket race abandons that victim rather than retrying (the
+// paper's contention principle). Stolen-but-unusable hints recirculate
+// through the stealer's own release path, which also migrates ports
+// away from suspended threads' shards while the owners are not flushing
+// them.
 func (s *Scheduler) steal(t *tuple.Tuple, thr *Thread) bool {
-	vs, ds := thr.victims, thr.vDist
+	n := len(s.shards)
+	if n <= 1 {
+		return false
+	}
+	off := int(thr.nextRand() % uint32(n))
 	stole := false
 	var port int32
-	for gs := 0; gs < len(vs); {
-		ge := gs + 1
-		for ge < len(vs) && ds[ge] == ds[gs] {
-			ge++
+	for i := 0; i < n; i++ {
+		v := off + i
+		if v >= n {
+			v -= n
 		}
-		g := ge - gs
-		off := 0
-		if g > 1 {
-			off = int(thr.nextRand() % uint32(g))
+		if v == thr.id {
+			continue
 		}
-		for i := 0; i < g; i++ {
-			j := gs + off + i
-			if j >= ge {
-				j -= g
-			}
-			v := vs[j]
-			if !s.shards[v].Steal(&port) {
-				continue
-			}
-			dist := int(ds[gs])
-			s.chargeSteal(thr.id, dist)
-			if s.tr.On() {
-				s.tr.Emit(thr.id, trace.KindSteal,
-					trace.PackPair(v, uint32(dist)<<24|uint32(port)&0xffffff))
-			}
-			stole = true
-			if s.tryTake(port, t) {
-				return true
-			}
-			s.makePortFree(port, thr)
+		if !s.shards[v].Steal(&port) {
+			continue
 		}
-		gs = ge
+		s.contention.Steal.Add(thr.id, 1)
+		if s.tr.On() {
+			s.tr.Emit(thr.id, trace.KindSteal, trace.PackPair(int32(v), uint32(port)))
+		}
+		stole = true
+		if s.tryTake(port, t) {
+			return true
+		}
+		s.makePortFree(port, thr)
 	}
 	if stole {
 		s.contention.StealMiss.Add(thr.id, 1)
 	}
 	return false
-}
-
-// chargeSteal counts one successful steal, both in the aggregate meter
-// and in the per-distance breakdown.
-func (s *Scheduler) chargeSteal(tid, dist int) {
-	s.contention.Steal.Add(tid, 1)
-	switch dist {
-	case cpuutil.DistSMT:
-		s.contention.StealSMT.Add(tid, 1)
-	case cpuutil.DistLLC:
-		s.contention.StealLLC.Add(tid, 1)
-	default:
-		s.contention.StealRemote.Add(tid, 1)
-	}
 }
 
 // pollGlobal pops a bounded number of ports from the global list —

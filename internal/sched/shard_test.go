@@ -2,12 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"streams/internal/graph"
 	"streams/internal/ops"
+	"streams/internal/tuple"
 )
 
 // TestShardedResizeNoStrandedPorts churns the thread level across its
@@ -136,6 +138,61 @@ func TestGlobalFreeListAblationMatches(t *testing.T) {
 		}
 		if got, want := s.Executed(), uint64(n*11); got != want {
 			t.Fatalf("GlobalFreeList=%v: Executed = %d, want %d", cfg.GlobalFreeList, got, want)
+		}
+	}
+}
+
+// TestStealSweepsEveryVictimOnce pins the steal order: one steal call
+// probes every non-self shard exactly once, starting at a thread-local
+// random victim and wrapping. Each victim shard holds one hint for an
+// empty queue, so every probe steals it, finds nothing to run and
+// recirculates it into the thief's own shard, which then spells the
+// probe order. Every start offset is reached for every thief, and a
+// lone thread (no victims) returns without touching its RNG.
+func TestStealSweepsEveryVictimOnce(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8} {
+		// depth 7: eight input ports, one distinct hint per victim.
+		s := New(pipelineGraph(t, 7, 1, &ops.Sink{}), Config{MaxThreads: n})
+		var tup tuple.Tuple
+		if n == 1 {
+			thr := s.threads[0]
+			if before := thr.rng; s.steal(&tup, thr) || thr.rng != before {
+				t.Fatal("n=1: steal found work or advanced the RNG with no victim to pick")
+			}
+			continue
+		}
+		for _, thr := range s.threads {
+			starts := make(map[int]bool)
+			for call := 0; len(starts) < n && call < 1000; call++ {
+				for v, d := range s.shards {
+					if v != thr.id && !d.PushBottom(int32(v)) {
+						t.Fatalf("n=%d: shard %d refused a hint", n, v)
+					}
+				}
+				off := int((&Thread{rng: thr.rng}).nextRand() % uint32(n))
+				starts[off] = true
+				if s.steal(&tup, thr) {
+					t.Fatalf("n=%d thief %d: steal found work in empty queues", n, thr.id)
+				}
+				var want, got []int32
+				for i := 0; i < n; i++ {
+					if v := (off + i) % n; v != thr.id {
+						want = append(want, int32(v))
+					}
+				}
+				for p := int32(0); thr.shard.PopBottom(&p); {
+					got = append([]int32{p}, got...) // LIFO: last stolen pops first
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d thief %d start %d: probed %v, want %v", n, thr.id, off, got, want)
+				}
+			}
+			if len(starts) < n {
+				t.Fatalf("n=%d thief %d: only start offsets %v reached in 1000 sweeps", n, thr.id, starts)
+			}
+		}
+		if c := s.contention.Snapshot(); c.Steal != c.StealMiss*uint64(n-1) {
+			t.Fatalf("n=%d: %d steals over %d fruitless sweeps, want %d per sweep", n, c.Steal, c.StealMiss, n-1)
 		}
 	}
 }

@@ -98,13 +98,6 @@ type Thread struct {
 	// this thread pushes to or pops the bottom; other threads steal from
 	// the top.
 	shard *lfq.WSDeque
-	// victims is every other thread slot ordered nearest-first by CPU
-	// topology, with vDist holding each victim's distance class
-	// (cpuutil.DistSMT/DistLLC/DistRemote). Built once at construction;
-	// the steal sweep walks equal-distance runs with a randomized start
-	// offset.
-	victims []int32
-	vDist   []uint8
 	// findTick counts findWorkSharded calls to pace the periodic global
 	// poll, and polled receives each port that poll pops; thread-local,
 	// no synchronization.

@@ -128,9 +128,9 @@ func writeTraceEvents(w io.Writer, events []Event, labels []string) error {
 				})
 			}
 		case KindSteal:
-			victim, lo := UnpackPair(e.Arg)
+			victim, port := UnpackPair(e.Arg)
 			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"victim": victim, "port": lo & 0xffffff, "dist": lo >> 24,
+				"victim": victim, "port": port,
 			}))
 		case KindElastic:
 			level, thput := UnpackPair(e.Arg)

@@ -27,7 +27,7 @@ func TestExportPairsDrainsAndParks(t *testing.T) {
 		{TS: 15 * time.Microsecond, Ring: 1, Kind: KindPark},
 		{TS: 30 * time.Microsecond, Ring: 0, Kind: KindRelease, Arg: 17},
 		{TS: 45 * time.Microsecond, Ring: 1, Kind: KindUnpark},
-		{TS: 50 * time.Microsecond, Ring: 0, Kind: KindSteal, Arg: PackPair(2, 9)},
+		{TS: 50 * time.Microsecond, Ring: 0, Kind: KindSteal, Arg: PackPair(2, 1<<24|9)},
 	}
 	var buf bytes.Buffer
 	if err := ExportEvents(&buf, events, []string{"sched-0", "sched-1"}); err != nil {
@@ -65,8 +65,9 @@ func TestExportPairsDrainsAndParks(t *testing.T) {
 		case "steal":
 			steals++
 			args := e["args"].(map[string]any)
-			if args["victim"].(float64) != 2 || args["port"].(float64) != 9 {
-				t.Fatalf("steal args = %v", args)
+			// Exactly {victim, port}, the port using all 32 low bits.
+			if len(args) != 2 || args["victim"].(float64) != 2 || args["port"].(float64) != 1<<24|9 {
+				t.Fatalf("steal args = %v, want {victim: 2, port: %d}", args, 1<<24|9)
 			}
 		}
 	}

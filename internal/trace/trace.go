@@ -44,9 +44,7 @@ const (
 	// tuples drained (the batch-drain record).
 	KindRelease
 	// KindSteal marks a port hint taken from another thread's shard;
-	// arg packs victim<<32|dist<<24|port, where dist is the
-	// cpuutil steal-distance class (0 SMT sibling, 1 LLC peer, 2
-	// remote) and port occupies the low 24 bits.
+	// arg packs victim<<32|port.
 	KindSteal
 	// KindSpill marks a local-shard overflow redirected to the global
 	// free list; arg is the port ID.
