@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick trace-smoke obs-smoke fuzz-smoke hot-sizes
+.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
 
 all: check
 
@@ -82,6 +82,22 @@ bench-ledger-quick:
 	set -e; for w in spl_logins spl_chain fanout_hop ingest_paced ingest_overload; do \
 		bash benchmark/run.sh --workload $$w --quick --trace 0; \
 	done
+
+# fused-smoke keeps the fused program the path the runtime takes, not
+# the exception it was before fusion also committed at the dequeue: one
+# quick traced pass of the ledger workload built to be a single fused
+# chain must execute at least nine in ten programmed-operator executions
+# fused and take at most two executions per tuple off a queue (quick
+# runs read 0.996-0.9998 and 0.81-0.85; 0.04 and 4.5 before).
+fused-smoke:
+	@bash benchmark/run.sh --workload spl_chain --quick --trace 1 | tail -n 1 | awk '\
+		function metric(name,  v) { \
+			if (!match($$0, "\"" name "\":\\{\"value\":[0-9.e+-]+")) return -1; \
+			v = substr($$0, RSTART, RLENGTH); sub(/.*:/, "", v); return v + 0 } \
+		BEGIN { f = q = -1 } \
+		{ f = metric("vm\\.fused_frac"); q = metric("sched\\.queue_exec_per_tuple") } \
+		END { printf "fused-smoke: vm.fused_frac %s (want >= 0.9), sched.queue_exec_per_tuple %s (want <= 2)\n", f, q; \
+		      exit !(f >= 0.9 && q >= 0 && q <= 2) }'
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
@@ -168,7 +184,7 @@ obs-smoke:
 # that claims "the hot path did not move" runs it on the parent and on
 # the change and diffs the two tables: byte-identical symbols compiled
 # to the same code.
-HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|push|tryChain|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard|executeSpan)|sched\.\(\*ctx\)\.deliver|vm\.\(\*Machine\)\.runSeg
+HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|push|tryChain|tryFused|lockFusedRun|runFusedTuple|vecCompute|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard|executeSpan)|sched\.\(\*ctx\)\.deliver|vm\.\(\*Machine\)\.runSeg
 hot-sizes:
 	@mkdir -p .bench_build
 	@$(GO) build -o .bench_build/streamsim-sizes ./cmd/streamsim

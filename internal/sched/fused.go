@@ -12,12 +12,13 @@ import (
 // Fused superinstruction dispatch (DESIGN.md "Operator bytecode &
 // superinstruction fusion"). When every operator along a chainable run
 // carries a bytecode program (vm.Programmed), the programs fuse at
-// startup into one multi-segment program. A chain batch arriving at the
-// run's entry port can then execute the whole run in a single dispatch
-// loop per tuple: no per-operator Process calls, no Submitter hops, no
-// per-operator batch flushes — values move between operators through VM
-// slots. The per-operator chain path remains the fallback whenever any
-// precondition fails, metered so the trade is observable.
+// startup into one multi-segment program. A batch at the run's entry
+// port — arriving through a chain link, or drained from the port's queue
+// — can then execute the whole run in a single dispatch loop per tuple:
+// no per-operator Process calls, no Submitter hops, no per-operator
+// batch flushes — values move between operators through VM slots. The
+// per-operator path remains the fallback whenever any precondition
+// fails, metered so the trade is observable.
 
 // fusedRun is one precomputed run: the fused program, the ports it
 // spans in chain order, and the owning node per segment (for panic
@@ -53,7 +54,8 @@ func (e *fusedEmitter) Emit(t tuple.Tuple) { e.ec.Submit(t, 0) }
 // on chaining's locking discipline. Run length is capped at the chain
 // depth (but at least 2: a fused run shorter than 2 is pointless).
 func (s *Scheduler) buildFusedRuns() {
-	// Always allocated: tryChain indexes it unconditionally at commit.
+	// Always allocated: tryChain and the drain loops index it
+	// unconditionally.
 	s.fusedRuns = make([]*fusedRun, len(s.g.Ports))
 	if s.chainDepth <= 0 {
 		return
@@ -140,59 +142,34 @@ func (s *Scheduler) buildFusedRuns() {
 }
 
 // tryFused attempts to execute batch through the fused run rooted at
-// its destination port. The caller (tryChain) already holds the entry
-// port's consumer lock with its queue observed empty and the thread's
-// chain budget covering one link. tryFused extends that commitment to
-// the whole run — locks and empty queues on every interior port, the
-// budget covering every link, no punctuation in the batch, no chaos
-// injector (faults must flow through the per-operator seams), no
-// quarantined node (dead-lettering is per-operator) — and declines to
-// the per-operator path otherwise, charging the fall-back meter.
+// its destination port. It has three call sites, and at each the caller
+// already holds the entry port's consumer lock with nothing of that
+// port's streams left ahead of batch: tryChain at a push (queue observed
+// empty; c is the upstream frame, mid-flush), and schedule's and
+// reSchedule's drain loops at a dequeue (batch just popped from the
+// queue; c is the entry port's own drain context, atDequeue set).
+// tryFused extends that commitment to the whole run — locks and empty
+// queues on every interior port, the budget covering every link, no
+// punctuation in the batch, no chaos injector (faults must flow through
+// the per-operator seams), no quarantined node (dead-lettering is
+// per-operator) — and declines to the per-operator path otherwise,
+// charging the fall-back meter.
 //
 // The invariant argument is the chain path's, run-wide: all spanned
 // ports' consumer locks are held with queues empty, so per-stream FIFO
 // and exclusivity hold for every interior hop; interior streams have
 // exactly one subscriber each, so skipping their sequence stamps is
-// unobservable; and the lock order is strictly downstream, so no wait
-// cycle can form (try-locks everywhere regardless).
-func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tuple) bool {
+// unobservable — an interior segment's load.seq reads the entry tuple's
+// stamp instead of a re-stamped one, and production programs only use
+// load.seq as a spin.work seed whose result is popped
+// (ops.WorkerProgram, spl's compileWorkVM); and the lock order is
+// strictly downstream, so no wait cycle can form (try-locks everywhere
+// regardless).
+func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tuple, atDequeue bool) bool {
 	tid := c.tid
 	thr := c.thr
 	nSegs := len(fr.ports)
-	if s.inj != nil || len(batch)*nSegs > thr.chainBudget {
-		s.vms.Fallbacks.Add(tid, 1)
-		return false
-	}
-	for i := range batch {
-		if batch[i].Kind != tuple.Data {
-			s.vms.Fallbacks.Add(tid, 1)
-			return false
-		}
-	}
-	if s.faultsSeen.Load() {
-		for _, n := range fr.nodes {
-			if s.quarantined[n.ID].Load() {
-				s.vms.Fallbacks.Add(tid, 1)
-				return false
-			}
-		}
-	}
-	locked := 0
-	for _, pid := range fr.ports[1:] {
-		q := s.queues[pid]
-		if !q.ConsTryLock() {
-			break
-		}
-		if q.Queue().Len() != 0 {
-			q.ConsUnlock()
-			break
-		}
-		locked++
-	}
-	if locked != nSegs-1 {
-		for i := locked; i > 0; i-- {
-			s.queues[fr.ports[i]].ConsUnlock()
-		}
+	if !s.lockFusedRun(c, fr, batch, atDequeue) {
 		s.vms.Fallbacks.Add(tid, 1)
 		return false
 	}
@@ -203,10 +180,25 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 	if s.tr.On() {
 		s.tr.Emit(tid, trace.KindVMFuse, trace.PackPair(int32(nSegs), uint32(port)))
 	}
+	var wasActive bool
+	if thr != nil {
+		// As in executeBatch: the watchdog and the suspension accounting
+		// read active, and a dequeue call is a top-level execution.
+		wasActive = thr.active.Swap(true)
+	}
 	lastP := s.g.Ports[fr.ports[nSegs-1]]
 	ec := s.acquireCtx(lastP, tid, thr)
-	if ec.chainLeft = c.chainLeft - nSegs; ec.chainLeft < 0 {
-		ec.chainLeft = 0
+	// The tail frame keeps what the run's links leave of c's link budget.
+	// At a push the entry port is itself one link down from c; at a
+	// dequeue c is the entry frame. A reSchedule frame (-1) never chains
+	// and neither does its tail: clamping it to 0 would make it a
+	// depth-exhausted frame and mis-charge DepthStops.
+	links := nSegs
+	if atDequeue {
+		links--
+	}
+	if ec.chainLeft = c.chainLeft; ec.chainLeft >= 0 {
+		ec.chainLeft = max(ec.chainLeft-links, 0)
 	}
 	fr.emit.ec = ec
 	var counts []uint64
@@ -244,10 +236,10 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 		total += counts[i]
 	}
 	s.executed.Add(tid, total)
-	if thr.chainBudget -= int(total); thr.chainBudget < 0 {
-		thr.chainBudget = 0
+	if thr != nil {
+		thr.chainBudget = max(thr.chainBudget-int(total), 0)
+		thr.heartbeat.Add(1)
 	}
-	thr.heartbeat.Add(1)
 	// Flush the last node's submissions (possibly opening further chain
 	// links past the run) before the interior locks release.
 	ec.endCoalesce()
@@ -256,6 +248,71 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 	}
 	fr.emit.ec = nil
 	s.releaseCtx(ec)
+	if thr != nil {
+		thr.active.Store(wasActive)
+	}
+	return true
+}
+
+// lockFusedRun checks tryFused's preconditions and, when all of them
+// hold, returns true with every interior port's consumer lock held. The
+// order is cheapest-first, because at a dequeue declines are routine
+// (any run whose downstream is backed up declines every batch): nothing
+// is flushed and no lock is touched until the thread-local tests and an
+// unlocked peek of the interior queues say the commit will likely hold.
+// The peek is only a hint; the locked empty-queue test stays the guard.
+func (s *Scheduler) lockFusedRun(c *ctx, fr *fusedRun, batch []tuple.Tuple, atDequeue bool) bool {
+	if s.inj != nil {
+		return false
+	}
+	// Source threads own no Thread and so no tuple allowance; their
+	// drains are bounded by ReschedLimit instead. Tested before the
+	// flush below, which may chain and draw on the allowance: what it
+	// moves is the previous batch's work.
+	if thr := c.thr; thr != nil && len(batch)*len(fr.ports) > thr.chainBudget {
+		return false
+	}
+	for i := range batch {
+		if batch[i].Kind != tuple.Data {
+			return false
+		}
+	}
+	interior := fr.ports[1:]
+	for _, pid := range interior {
+		if s.queues[pid].Queue().Len() != 0 {
+			return false
+		}
+	}
+	if s.faultsSeen.Load() {
+		for _, n := range fr.nodes {
+			if s.quarantined[n.ID].Load() {
+				return false
+			}
+		}
+	}
+	if atDequeue {
+		// The drain context may still hold tuples an earlier, declined
+		// batch of this drain coalesced for the first interior port; they
+		// must get there before this batch runs past it. Flush before
+		// taking that port's lock: the flush's own chain attempt needs
+		// the (non-re-entrant) lock, and would otherwise lose it, enqueue,
+		// and be overtaken. If the flush lands them in the queue, the
+		// locked test below declines.
+		c.endCoalesce()
+	}
+	for i, pid := range interior {
+		q := s.queues[pid]
+		if q.ConsTryLock() {
+			if q.Queue().Len() == 0 {
+				continue
+			}
+			q.ConsUnlock()
+		}
+		for _, held := range interior[:i] {
+			s.queues[held].ConsUnlock()
+		}
+		return false
+	}
 	return true
 }
 

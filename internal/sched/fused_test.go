@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streams/internal/fault"
@@ -17,31 +19,19 @@ import (
 // every worker, so chainable runs are eligible for fused dispatch.
 func progPipelineGraph(t *testing.T, depth int, limit uint64, cost int, snk *ops.Sink) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder()
-	src := b.AddNode(&ops.Generator{Limit: limit}, 0, 1)
-	prev := src
-	for i := 0; i < depth; i++ {
-		n := b.AddNode(&ops.Worker{Cost: cost, Prog: ops.WorkerProgram("W", cost)}, 1, 1)
-		b.Connect(prev, 0, n, 0)
-		prev = n
-	}
-	sn := b.AddNode(snk, 1, 0)
-	b.Connect(prev, 0, sn, 0)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := countedPipelineGraph(t, &ops.Generator{Limit: limit}, depth, cost, snk)
 	return g
 }
 
 // paceSource holds g's generator at every batch boundary until the sink
 // has counted every tuple generated before it, so each source batch
-// meets an idle pipeline. An unpaced generator outruns two scheduler
-// threads on a small host: the source thread then moves the tuples
-// itself through reSchedule self-help frames, which never chain, every
-// interior queue is occupied when a scheduler thread gets there, and
-// fused dispatch legitimately never fires — which is not what the
-// "fires" tests below are about. Only for runs that lose no tuple.
+// meets an idle pipeline: every interior queue is empty when its batch
+// is drained, and the commit at the first worker's port is
+// deterministic. (An unpaced generator outruns two scheduler threads on
+// a small host; fusion then commits at the dequeue whenever the run's
+// interior is clear, which TestFusedAtDequeueWhenSourceOutruns pins —
+// the tests below are about the accounting of a commit, not about how
+// often one happens.) Only for runs that lose no tuple.
 func paceSource(g *graph.Graph, snk *ops.Sink) {
 	gen := g.SourceNodes[0].Op.(*ops.Generator)
 	gen.Payload = func(i uint64) tuple.Tuple {
@@ -235,17 +225,18 @@ func (p *seqPanicky) Process(out graph.Submitter, t tuple.Tuple, _ int) {
 // TestFusedPanicContainment: a segment panic inside a fused run must
 // dead-letter only the offending tuple, attribute the strike to the
 // segment's operator, and leave the rest of the batch (and the run)
-// intact — exactly the containment the per-operator path gives. Chains
-// only commit at ports flushed from worker contexts (sources have no
-// thread), so a plain worker sits upstream of the panicking operator to
-// make its port a fused-run entry. The panicking operator is then the
-// run's first segment, whose input stream is always sequence-stamped,
-// so both dispatch forms agree on the panic set.
+// intact — exactly the containment the per-operator path gives. The
+// panic set is keyed on load.seq, and only a run's first segment reads
+// a stamped sequence (interior hops skip the stamp), so the panicking
+// operator must be the graph's first programmed node: the worker
+// upstream of it carries no program, which roots the run at Bad and
+// lets both the push-time commit (Up's flush) and the dequeue commit
+// (Bad's own queue) see Up's stamps — as the per-operator path does.
 func TestFusedPanicContainment(t *testing.T) {
 	const n, interval = 10000, 250
 	b := graph.NewBuilder()
 	src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
-	up := b.AddNode(&ops.Worker{OpName: "Up", Prog: ops.WorkerProgram("Up", 0)}, 1, 1)
+	up := b.AddNode(&ops.Worker{OpName: "Up"}, 1, 1)
 	bad := b.AddNode(&seqPanicky{
 		name:     "Bad",
 		interval: interval,
@@ -262,10 +253,10 @@ func TestFusedPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker thread: the panicking node's queue is drained only by
-	// the thread that just flushed to it, so it is empty at every flush
-	// and the chain (hence the fused run) commits deterministically —
-	// keeping the FusedRuns assertion below robust under -race timing.
+	// One worker thread: nobody else holds the run's interior locks, so
+	// every data batch that reaches Bad — through Up's flush or off Bad's
+	// queue — commits, keeping the FusedRuns assertion below robust under
+	// -race timing.
 	s := runGraph(t, g, Config{MaxThreads: 1, QuarantineAfter: 1 << 30}, 1)
 	fs := s.Faults()
 	if fs.OpPanics != n/interval {
@@ -376,5 +367,198 @@ func TestVecComputePanicReplaysScalar(t *testing.T) {
 		if delivered[i] != want[i] {
 			t.Fatalf("replay delivered %v, want %v", delivered, want)
 		}
+	}
+}
+
+// procCounted is a programmed forwarding worker that counts its Process
+// calls. Fused dispatch never calls Process, so an operator's executions
+// (OperatorCounts) minus its calls is exactly what ran in fused form.
+type procCounted struct {
+	ops.Worker
+	calls atomic.Uint64
+}
+
+func (p *procCounted) Process(out graph.Submitter, t tuple.Tuple, port int) {
+	p.calls.Add(1)
+	p.Worker.Process(out, t, port)
+}
+
+// countedPipelineGraph is src -> depth procCounted workers (W1..Wdepth)
+// of the given cost -> snk.
+func countedPipelineGraph(t *testing.T, src graph.Operator, depth, cost int, snk graph.Operator) (*graph.Graph, []*procCounted) {
+	t.Helper()
+	b := graph.NewBuilder()
+	prev := b.AddNode(src, 0, 1)
+	ws := make([]*procCounted, depth)
+	for i := range ws {
+		name := fmt.Sprintf("W%d", i+1)
+		ws[i] = &procCounted{Worker: ops.Worker{OpName: name, Cost: cost, Prog: ops.WorkerProgram(name, cost)}}
+		n := b.AddNode(ws[i], 1, 1)
+		b.Connect(prev, 0, n, 0)
+		prev = n
+	}
+	b.Connect(prev, 0, b.AddNode(snk, 1, 0), 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, ws
+}
+
+// requireInOrder fails unless the order sink saw exactly 0..n-1 in order.
+func requireInOrder(t *testing.T, seen []uint64, n int) {
+	t.Helper()
+	if len(seen) != n {
+		t.Fatalf("sink saw %d tuples, want %d", len(seen), n)
+	}
+	for i, v := range seen {
+		if v != uint64(i) {
+			t.Fatalf("position %d: tuple %d out of order", i, v)
+		}
+	}
+}
+
+// TestFusedAtDequeueWhenSourceOutruns: an unpaced generator keeps the
+// first worker's queue occupied, so no push ever finds it empty and
+// every batch reaches the run through a dequeue. The fused program must
+// still be the path the runtime takes — at least nine in ten tuples go
+// through a fused run — with per-operator execution counts identical to
+// the unchained, unfused run and delivery in order.
+//
+// The share of *executions* that are fused is timing-dependent and only
+// floored here: a thread walking its free-port shard try-locks the empty
+// interior ports on its way, and a root commit that loses one of those
+// try-locks declines; the entry operator then runs per operator on one
+// thread while another drains the rest of the run fused off the interior
+// queue — pipelining, which the scheduler exists to allow — until that
+// queue runs empty. Observed 0.74–1.0 (median 1.0) on two cores, against
+// under 0.1 before dequeue fusion; TestFusedOnSourceThreadSelfHelp pins
+// the contention-free case at exactly 1, and `make fused-smoke` gates the
+// ledger workload at 0.9.
+func TestFusedAtDequeueWhenSourceOutruns(t *testing.T) {
+	const n, depth = 100000, 6
+	run := func(cfg Config, threads int) (*Scheduler, []*procCounted, []uint64) {
+		var mu sync.Mutex
+		var seen []uint64
+		g, ws := countedPipelineGraph(t, &ops.Generator{Limit: n}, depth, 0, newOrderSink(&mu, &seen))
+		return runGraph(t, g, cfg, threads), ws, seen
+	}
+	ref, _, _ := run(Config{MaxThreads: 2, DisableChain: true}, 2)
+	if v := ref.Stats().VM; v.FusedRuns != 0 {
+		t.Fatalf("reference run fused under DisableChain: %+v", v)
+	}
+	want := ref.OperatorCounts()
+	for threads := 1; threads <= 2; threads++ {
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			s, ws, seen := run(Config{MaxThreads: 2}, threads)
+			requireInOrder(t, seen, n)
+			got := s.OperatorCounts()
+			for name, w := range want {
+				if got[name] != w {
+					t.Errorf("%s executed %d times, want %d (the unfused run's count)", name, got[name], w)
+				}
+			}
+			v := s.Stats().VM
+			if v.FusedTuples < n*9/10 {
+				t.Errorf("%d of %d tuples took a fused run, want >= 0.9: %+v", v.FusedTuples, n, v)
+			}
+			var perOp uint64
+			for _, w := range ws {
+				perOp += w.calls.Load()
+			}
+			if frac := 1 - float64(perOp)/float64(n*depth); frac < 0.5 {
+				t.Errorf("fused share of programmed executions = %.3f, want >= 0.5 (%d of %d ran Process; VM %+v)",
+					frac, perOp, n*depth, v)
+			}
+			if ds := s.Chains().DepthStops; ds != 0 {
+				t.Errorf("DepthStops = %d on a pipeline shorter than ChainDepth", ds)
+			}
+		})
+	}
+}
+
+// TestFusedMixedDrainKeepsOrder is the regression test for the mixed
+// drain: window marks every `per` tuples make some batches of a drain
+// decline (punctuation runs per operator) while their neighbours commit
+// fused. The declined batch's output sits coalesced in the drain context
+// until it is flushed; a fused batch that ran before that flush would
+// overtake it. The recorder must see every data tuple in order with
+// every mark in position, on queues small enough that source and
+// scheduler threads both drain through reSchedule.
+func TestFusedMixedDrainKeepsOrder(t *testing.T) {
+	const windows, per, depth = 1500, 50, 4
+	for name, cfg := range map[string]Config{
+		"default":    {MaxThreads: 2},
+		"queue-full": {MaxThreads: 2, QueueCap: 8},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := &streamRecorder{}
+			g, _ := countedPipelineGraph(t, &markedSource{windows: windows, per: per}, depth, 0, rec)
+			s := runGraph(t, g, cfg, 2)
+			if got, want := len(rec.events), windows*(per+1); got != want {
+				t.Fatalf("recorder saw %d events, want %d", got, want)
+			}
+			next := uint64(0)
+			for i, ev := range rec.events {
+				if i%(per+1) == per {
+					if ev != windowMark {
+						t.Fatalf("event %d: data tuple %d where a window mark belongs", i, ev)
+					}
+					continue
+				}
+				if ev != next {
+					t.Fatalf("event %d: tuple %d, want %d (overtaken or out of position)", i, ev, next)
+				}
+				next++
+			}
+			v := s.Stats().VM
+			if v.FusedRuns == 0 || v.Fallbacks == 0 {
+				t.Errorf("drains did not mix fused and declined batches: %+v", v)
+			}
+			if name == "queue-full" && s.Reschedules() == 0 {
+				t.Error("capacity-8 queues never pushed anyone into reSchedule")
+			}
+			if ds := s.Chains().DepthStops; ds != 0 {
+				t.Errorf("DepthStops = %d: a reSchedule frame's fused tail must stay a never-chains frame", ds)
+			}
+		})
+	}
+}
+
+// TestFusedOnSourceThreadSelfHelp: with no scheduler thread running, the
+// source thread fills the first queue and then moves every tuple itself
+// through reSchedule's self-help drain — a frame with no Thread and
+// chainLeft -1. That drain must execute the fused program (nothing in
+// its preconditions needs a Thread), must not turn its tail into a
+// depth-exhausted frame, and must keep order.
+func TestFusedOnSourceThreadSelfHelp(t *testing.T) {
+	const n, depth = 20000, 4
+	var mu sync.Mutex
+	var seen []uint64
+	g, ws := countedPipelineGraph(t, &ops.Generator{Limit: n}, depth, 0, newOrderSink(&mu, &seen))
+	s := New(g, Config{MaxThreads: 1, QueueCap: 8})
+	src := g.SourceNodes[0]
+	src.Op.(graph.Source).Run(s.SourceSubmitter(src, 0), make(chan struct{}))
+	// Everything that has executed so far executed on this goroutine.
+	v := s.Stats().VM
+	if v.FusedRuns == 0 {
+		t.Fatalf("the source thread's self-help drains never ran the fused program: %+v", v)
+	}
+	var perOp uint64
+	for _, w := range ws {
+		perOp += w.calls.Load()
+	}
+	if perOp != 0 {
+		t.Errorf("%d Process calls on an idle, punctuation-free pipeline: every self-help batch should commit", perOp)
+	}
+	s.SourceDone(src, 0)
+	s.Start(1)
+	s.Wait()
+	requireInOrder(t, seen, n)
+	if got, want := s.Executed(), uint64(n*(depth+1)); got != want {
+		t.Errorf("Executed = %d, want %d", got, want)
+	}
+	if ds := s.Chains().DepthStops; ds != 0 {
+		t.Errorf("DepthStops = %d, want 0", ds)
 	}
 }

@@ -59,8 +59,10 @@ func (r *streamRecorder) OnPunct(_ graph.Submitter, k tuple.Kind, _ int) {
 	}
 }
 
-// splitGraph is SliceSource(input) -> routeSplit -> width recorders.
-func splitGraph(t *testing.T, input []tuple.Tuple, width int, route func(uint64) int) (*graph.Graph, []*streamRecorder) {
+// splitGraph is SliceSource(input) -> routeSplit -> width recorders, with
+// runLen programmed forwarding workers (a fusable run when runLen >= 2)
+// between each split output and its recorder.
+func splitGraph(t *testing.T, input []tuple.Tuple, width, runLen int, route func(uint64) int) (*graph.Graph, []*streamRecorder) {
 	t.Helper()
 	b := graph.NewBuilder()
 	src := b.AddNode(&ops.SliceSource{Tuples: input}, 0, 1)
@@ -68,8 +70,14 @@ func splitGraph(t *testing.T, input []tuple.Tuple, width int, route func(uint64)
 	b.Connect(src, 0, split, 0)
 	recs := make([]*streamRecorder, width)
 	for w := range recs {
+		prev, prevPort := split, w
+		for i := 0; i < runLen; i++ {
+			n := b.AddNode(&ops.Worker{Prog: ops.WorkerProgram("W", 0)}, 1, 1)
+			b.Connect(prev, prevPort, n, 0)
+			prev, prevPort = n, 0
+		}
 		recs[w] = &streamRecorder{}
-		b.Connect(split, w, b.AddNode(recs[w], 1, 0), 0)
+		b.Connect(prev, prevPort, b.AddNode(recs[w], 1, 0), 0)
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -85,7 +93,10 @@ func splitGraph(t *testing.T, input []tuple.Tuple, width int, route func(uint64)
 // off. Every output stream must deliver exactly the tuples routed to it,
 // in order, with each window mark in position and sequence numbers
 // contiguous — including on a fan-out wider than the slot table, where
-// destinations share slots and evict each other.
+// destinations share slots and evict each other, and with a fused run on
+// every branch, where the marks make batches of one drain alternate
+// between the per-operator path and the fused program (reached through
+// the splitter's flush and, off the branch queues, at the dequeue).
 func TestScatterPerStreamFIFO(t *testing.T) {
 	const n = 30000
 	routes := map[string]struct {
@@ -127,33 +138,39 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 			}
 		}
 		for cname, cfg := range cfgs {
-			t.Run(rname+"/"+cname, func(t *testing.T) {
-				g, recs := splitGraph(t, input, r.width, r.route)
-				s := runGraph(t, g, cfg, 3)
-				for w, rec := range recs {
-					if len(rec.events) != len(want[w]) {
-						t.Fatalf("port %d: %d events, want %d", w, len(rec.events), len(want[w]))
-					}
-					data := 0
-					for i, ev := range rec.events {
-						if ev != want[w][i] {
-							t.Fatalf("port %d event %d: got %d, want %d", w, i, ev, want[w][i])
-						}
-						if ev == windowMark {
-							continue
-						}
-						// Marks take sequence numbers too, so a data
-						// tuple's Seq is its position among the events.
-						if rec.seqs[data] != uint64(i) {
-							t.Fatalf("port %d event %d: seq %d", w, i, rec.seqs[data])
-						}
-						data++
-					}
+			for _, runLen := range []int{0, 3} {
+				name := rname + "/" + cname
+				if runLen > 0 {
+					name += "/fused-run"
 				}
-				if cname == "queue-full" && s.Reschedules() == 0 {
-					t.Error("capacity-4 queues never pushed a slot flush into reSchedule")
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					g, recs := splitGraph(t, input, r.width, runLen, r.route)
+					s := runGraph(t, g, cfg, 3)
+					for w, rec := range recs {
+						if len(rec.events) != len(want[w]) {
+							t.Fatalf("port %d: %d events, want %d", w, len(rec.events), len(want[w]))
+						}
+						data := 0
+						for i, ev := range rec.events {
+							if ev != want[w][i] {
+								t.Fatalf("port %d event %d: got %d, want %d", w, i, ev, want[w][i])
+							}
+							if ev == windowMark {
+								continue
+							}
+							// Marks take sequence numbers too, so a data
+							// tuple's Seq is its position among the events.
+							if rec.seqs[data] != uint64(i) {
+								t.Fatalf("port %d event %d: seq %d", w, i, rec.seqs[data])
+							}
+							data++
+						}
+					}
+					if cname == "queue-full" && s.Reschedules() == 0 {
+						t.Error("capacity-4 queues never pushed a slot flush into reSchedule")
+					}
+				})
+			}
 		}
 	}
 }

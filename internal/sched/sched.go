@@ -984,7 +984,7 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 	// whole run as one program first; a decline falls through to the
 	// per-operator link below with the lock still held.
 	if fr := s.fusedRuns[port]; fr != nil {
-		if s.tryFused(c, fr, port, batch) {
+		if s.tryFused(c, fr, port, batch, false) {
 			q.ConsUnlock()
 			return true
 		}
@@ -1168,6 +1168,7 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 	var buf []tuple.Tuple
 	var ec *ctx
 	p := s.g.Ports[t.Port]
+	fr := s.fusedRuns[t.Port]
 	spins := 0
 	for !q.Push(t) && !c.finished() {
 		// A suspension request is honored before the consumer lock is
@@ -1183,7 +1184,8 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 				buf = *bufp
 				// The drain coalesces like any other, but never opens
 				// chain links: it is already run-to-completion, and it
-				// may be running on a frame that owns no thread.
+				// may be running on a frame that owns no thread. It does
+				// run the port's fused program, which needs neither.
 				ec = s.acquireCtx(p, c.tid, c.thr)
 				ec.chainLeft = -1
 			}
@@ -1198,7 +1200,9 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 				if n == 0 {
 					break
 				}
-				s.executeBatch(ec, p, buf[:n])
+				if fr == nil || !s.tryFused(ec, fr, t.Port, buf[:n], true) {
+					s.executeBatch(ec, p, buf[:n])
+				}
 				drained += n
 			}
 			ec.endCoalesce()
@@ -1700,12 +1704,18 @@ func (s *Scheduler) schedule(thr *Thread) {
 		thr.batch[0] = t
 		n := 1 + q.Queue().PopN(thr.batch[1:])
 		drained := 0
+		// When the port roots a fused run, each batch first tries to run
+		// the whole run as one program (nil on unprogrammed graphs: one
+		// load and one test per drain).
+		fr := s.fusedRuns[port]
 		for {
 			// Each top-level batch gets a fresh chain tuple allowance:
 			// the budget bounds the inline work committed between the
 			// suspension checks below, not per drain.
 			thr.chainBudget = s.chainBudget0
-			s.executeBatch(ec, p, thr.batch[:n])
+			if fr == nil || !s.tryFused(ec, fr, port, thr.batch[:n], true) {
+				s.executeBatch(ec, p, thr.batch[:n])
+			}
 			drained += n
 			thr.heartbeat.Add(1)
 			if thr.suspended.Load() || s.stopRequested(thr) {

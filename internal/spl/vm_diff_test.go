@@ -2,12 +2,15 @@ package spl
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"streams/internal/pe"
 	"streams/internal/tuple"
 	"streams/internal/vm"
 )
@@ -721,5 +724,70 @@ func TestVMDifferentialEdgeCases(t *testing.T) {
 			t.Fatalf("VM rejected edge case: %s", exprStr(e))
 		}
 		diffOne(t, e, p, in)
+	}
+}
+
+// schedDiffProgram is the fused differential's pipeline with a Beacon
+// long enough to outrun two scheduler threads and a result that grows
+// with the row, so a reordered or lost line shows in the sink file.
+const schedDiffProgram = `
+composite Main {
+  graph
+    stream<int64 x, int64 y> N = Beacon() { param iterations: 60000; }
+    stream<int64 a, int64 b> S1 = Custom(N) {
+      logic onTuple N: { submit({ a = x * 2 + 1, b = y + x }, S1); }
+    }
+    stream<int64 a, int64 b> S2 = Filter(S1) { param filter: a % 3 == 0; }
+    stream<int64 r> S3 = Custom(S2) {
+      logic onTuple S2: { submit({ r = a * b + 7 }, S3); }
+    }
+    () as Out = FileSink(S3) { param file: "out.txt"; }
+}
+`
+
+// TestVMDifferentialUnderScheduler closes the differential at the level
+// the machine-level tests above cannot reach: the same program under the
+// dynamic scheduler, once on the closure evaluator (no programs, so no
+// fused run exists) and once on bytecode, where the Beacon keeps S1's
+// queue occupied and the fused, vectorized program runs over the batches
+// the threads drain. The sink files must be identical line for line.
+func TestVMDifferentialUnderScheduler(t *testing.T) {
+	run := func(opts Options) ([]string, pe.SchedStats) {
+		sink := &memFile{}
+		opts.WriterFor = func(string) (io.WriteCloser, error) { return sink, nil }
+		c, err := Compile(schedDiffProgram, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := pe.New(c.Graph, pe.Config{Model: pe.Dynamic, Threads: 2, MaxThreads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.WaitTimeout(60 * time.Second); err != nil {
+			t.Fatalf("program did not drain: %v", err)
+		}
+		return sink.Lines(), p.SchedStats()
+	}
+	closure, cst := run(Options{NoVM: true})
+	if cst.VM.FusedRuns != 0 {
+		t.Fatalf("closure run fused: %+v", cst.VM)
+	}
+	if len(closure) != 20000 || closure[0] != "13" { // rows 1, 4, 7, …: (2i+1)·2i + 7
+		t.Fatalf("closure reference: %d lines, first %q", len(closure), closure[:min(len(closure), 1)])
+	}
+	fused, fst := run(Options{})
+	if fst.VM.FusedTuples < 60000*9/10 || fst.VM.VecRows == 0 {
+		t.Errorf("bytecode run barely fused or never vectorized, the differential compares little: %+v", fst.VM)
+	}
+	if !reflect.DeepEqual(fused, closure) {
+		for i := range min(len(fused), len(closure)) {
+			if fused[i] != closure[i] {
+				t.Fatalf("line %d: bytecode %q, closure %q", i, fused[i], closure[i])
+			}
+		}
+		t.Fatalf("bytecode wrote %d lines, closure %d", len(fused), len(closure))
 	}
 }
