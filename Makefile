@@ -31,7 +31,7 @@ fuzz-smoke:
 # scheduler, and connection drops across PE boundaries. The seeds are
 # fixed in the tests, so failures reproduce exactly.
 chaos:
-	FLIGHTREC_DIR=$(CURDIR) $(GO) test -race -count=1 -run Chaos -v ./internal/sched ./internal/pe ./internal/fuse ./internal/xport ./internal/obs
+	FLIGHTREC_DIR=$(CURDIR) $(GO) test -race -count=1 -run Chaos -v ./internal/exec ./internal/sched ./internal/pe ./internal/fuse ./internal/xport ./internal/obs
 
 # chaos-ingest soaks the network front door under the race detector:
 # concurrent two-class clients overdrive the admission layer while
@@ -184,7 +184,7 @@ obs-smoke:
 # that claims "the hot path did not move" runs it on the parent and on
 # the change and diffs the two tables: byte-identical symbols compiled
 # to the same code.
-HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|push|tryChain|tryFused|lockFusedRun|runFusedTuple|vecCompute|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard|executeSpan)|sched\.\(\*ctx\)\.deliver|vm\.\(\*Machine\)\.runSeg
+HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|push|tryChain|tryFused|lockFusedRun|runFusedTuple|vecCompute|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard)|sched\.\(\*ctx\)\.deliver|exec\.\(\*Core\)\.executeSpan|vm\.\(\*Machine\)\.runSeg
 hot-sizes:
 	@mkdir -p .bench_build
 	@$(GO) build -o .bench_build/streamsim-sizes ./cmd/streamsim

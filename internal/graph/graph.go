@@ -90,6 +90,13 @@ type Puncts interface {
 	OnPunct(out Submitter, kind tuple.Kind, inPort int)
 }
 
+// Finalizer is implemented by operators that flush state when all their
+// input streams have closed (before the runtime forwards the final
+// punctuation downstream).
+type Finalizer interface {
+	Finish(out Submitter)
+}
+
 // Node is one operator instance placed in a graph.
 type Node struct {
 	// ID is the node's index in Graph.Nodes.

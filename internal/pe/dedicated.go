@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streams/internal/exec"
 	"streams/internal/fault"
 	"streams/internal/graph"
 	"streams/internal/lfq"
-	"streams/internal/metrics"
 	"streams/internal/tuple"
 )
 
@@ -23,13 +23,11 @@ import (
 // exactly why the model over-subscribes the machine when operators
 // outnumber cores.
 type dedicatedRunner struct {
-	g       *graph.Graph
-	queues  []*lfq.Enforcer[tuple.Tuple]
-	drain   *drainState
-	contain *containment
-	exec    *metrics.Counter
-	sink    *metrics.Counter
-	latency *metrics.Histogram // nil when latency measurement is off
+	g      *graph.Graph
+	core   *exec.Core
+	queues []*lfq.Enforcer[tuple.Tuple]
+	inj    *fault.Injector // the queue-push seam; nil when chaos is off
+	stamp  bool            // latency measurement is on
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -37,19 +35,16 @@ type dedicatedRunner struct {
 
 const dedicatedBackoffMax = 10 * time.Millisecond
 
-func newDedicatedRunner(g *graph.Graph, queueCap int, inj *fault.Injector, quarantineAfter int, latency *metrics.Histogram) *dedicatedRunner {
+func newDedicatedRunner(g *graph.Graph, core *exec.Core, queueCap int, inj *fault.Injector, stamp bool) *dedicatedRunner {
 	if queueCap == 0 {
 		queueCap = 64
 	}
-	shards := len(g.Ports) + len(g.SourceNodes)
 	r := &dedicatedRunner{
-		g:       g,
-		queues:  make([]*lfq.Enforcer[tuple.Tuple], len(g.Ports)),
-		drain:   newDrainState(g),
-		contain: newContainment(g, inj, quarantineAfter, shards),
-		exec:    metrics.NewCounter(shards),
-		sink:    metrics.NewCounter(shards),
-		latency: latency,
+		g:      g,
+		core:   core,
+		queues: make([]*lfq.Enforcer[tuple.Tuple], len(g.Ports)),
+		inj:    inj,
+		stamp:  stamp,
 	}
 	for i := range r.queues {
 		r.queues[i] = lfq.NewEnforcer[tuple.Tuple](queueCap)
@@ -84,12 +79,14 @@ func (r *dedicatedRunner) portLoop(p *graph.InPort) {
 		batchCap = c
 	}
 	buf := make([]tuple.Tuple, batchCap)
+	ec := &dedicatedCtx{r: r, node: p.Node}
 	delay := time.Microsecond
 	for {
 		if n := q.PopN(buf); n > 0 {
 			delay = time.Microsecond
-			if r.deliverBatch(p, buf[:n]) {
-				return // port closed by its final punctuation
+			r.core.Execute(ec, p.ID, p, buf[:n])
+			if r.core.PortClosed(int32(p.ID)) {
+				return // closed by its last final punctuation
 			}
 			continue
 		}
@@ -103,73 +100,10 @@ func (r *dedicatedRunner) portLoop(p *graph.InPort) {
 	}
 }
 
-// deliverBatch processes a batch of tuples at port p on p's dedicated
-// thread, charging the execution counters once per batch, and reports
-// whether the port just closed. As in the scheduler's batch drain, the
-// counts are settled before a final punctuation is handled so every
-// executed tuple is visible in the counters by the time the PE closes.
-func (r *dedicatedRunner) deliverBatch(p *graph.InPort, batch []tuple.Tuple) bool {
-	// One execution context serves the whole batch; it escapes into
-	// operator code through the Submitter interface, so allocating it per
-	// tuple would dominate small-tuple cost.
-	ec := &dedicatedCtx{r: r, node: p.Node, tid: p.ID}
-	data := 0
-	charge := func() {
-		if data == 0 {
-			return
-		}
-		r.exec.Add(p.ID, uint64(data))
-		if p.Node.NumOut == 0 {
-			r.sink.Add(p.ID, uint64(data))
-		}
-		data = 0
-	}
-	for i := range batch {
-		if batch[i].Kind == tuple.FinalMark {
-			charge()
-		}
-		if r.deliver(ec, p, batch[i], &data) {
-			charge()
-			return true
-		}
-	}
-	charge()
-	return false
-}
-
-// deliver processes one tuple at port p on p's dedicated thread,
-// reporting whether the port just closed. Data executions are tallied
-// into *data; the caller charges the sharded counters per batch.
-func (r *dedicatedRunner) deliver(ec *dedicatedCtx, p *graph.InPort, t tuple.Tuple, data *int) bool {
-	switch t.Kind {
-	case tuple.Data:
-		if lat := r.latency; lat != nil && p.Node.NumOut == 0 && t.Stamp != 0 {
-			lat.Record(p.ID, time.Duration(time.Now().UnixNano()-t.Stamp))
-		}
-		if r.contain.runData(p.ID, p.Node, ec, t, p.Index) {
-			*data++
-		}
-	case tuple.WindowMark:
-		r.contain.runPunct(p.ID, p.Node, ec, tuple.WindowMark, p.Index)
-		for out := 0; out < p.Node.NumOut; out++ {
-			ec.Submit(tuple.Window(), out)
-		}
-	case tuple.FinalMark:
-		r.contain.runPunct(p.ID, p.Node, ec, tuple.FinalMark, p.Index)
-		portClosed, nodeClosed := r.drain.onFinal(p)
-		if nodeClosed {
-			finishNode(r.contain, p.ID, p.Node, ec)
-		}
-		return portClosed
-	}
-	return false
-}
-
 // dedicatedCtx routes submissions with blocking pushes.
 type dedicatedCtx struct {
 	r    *dedicatedRunner
 	node *graph.Node
-	tid  int
 	// stamp marks source submitters when latency measurement is on; see
 	// the scheduler's ctx.stamp.
 	stamp bool
@@ -191,7 +125,7 @@ func (c *dedicatedCtx) Submit(t tuple.Tuple, outPort int) {
 // the dedicated model's back-pressure. It yields between attempts so the
 // (usually oversubscribed) consumer threads can drain.
 func (c *dedicatedRunner) blockingPush(pid int, t tuple.Tuple) {
-	c.contain.inj.StallFault()
+	c.inj.StallFault()
 	q := c.queues[pid]
 	spins := 0
 	for !q.Push(t) {
@@ -208,18 +142,12 @@ func (c *dedicatedRunner) blockingPush(pid int, t tuple.Tuple) {
 }
 
 func (r *dedicatedRunner) sourceSubmitter(i int) graph.Submitter {
-	return &dedicatedCtx{r: r, node: r.g.SourceNodes[i], tid: len(r.g.Ports) + i, stamp: r.latency != nil}
+	return &dedicatedCtx{r: r, node: r.g.SourceNodes[i], stamp: r.stamp}
 }
 
 func (r *dedicatedRunner) sourceDone(i int) {
-	n := r.g.SourceNodes[i]
-	ec := &dedicatedCtx{r: r, node: n, tid: len(r.g.Ports) + i}
-	for port := 0; port < n.NumOut; port++ {
-		ec.Submit(tuple.Final(), port)
-	}
+	exec.Forward(r.sourceSubmitter(i), r.g.SourceNodes[i], tuple.Final())
 }
-
-func (r *dedicatedRunner) executed() uint64 { return r.exec.Total() }
 
 func (r *dedicatedRunner) backlog() int {
 	total := 0
@@ -228,10 +156,6 @@ func (r *dedicatedRunner) backlog() int {
 	}
 	return total
 }
-func (r *dedicatedRunner) sinkDelivered() uint64          { return r.sink.Total() }
-func (r *dedicatedRunner) done() <-chan struct{}          { return r.drain.doneCh }
-func (r *dedicatedRunner) faults() metrics.FaultsSnapshot { return r.contain.snapshot() }
-func (r *dedicatedRunner) lastFault() string              { return r.contain.last() }
 
 func (r *dedicatedRunner) shutdown() error {
 	r.stop.Store(true)

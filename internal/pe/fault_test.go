@@ -1,7 +1,7 @@
 package pe
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 	"time"
 
@@ -77,8 +77,24 @@ func TestPanicContainedAllModels(t *testing.T) {
 			if snk.Count() == 0 {
 				t.Errorf("%v: sink saw nothing; containment swallowed the stream", model)
 			}
-			if lf := p.LastFault(); !strings.Contains(lf, "Bad") {
-				t.Errorf("%v: LastFault %q does not name the operator", model, lf)
+			if !p.QuarantinedNode(bad) {
+				t.Errorf("%v: QuarantinedNode(Bad) = false", model)
+			}
+			if p.QuarantinedNode(wk) {
+				t.Errorf("%v: the healthy worker behind Bad is quarantined", model)
+			}
+			// Bad executed the tuples that neither panicked nor met the
+			// quarantine; everything it forwarded reached the worker.
+			exec := make([]uint64, p.NumNodes())
+			if !p.NodeExecuted(exec) {
+				t.Fatalf("%v: NodeExecuted reported no per-node meters", model)
+			}
+			if exec[bad] != snk.Count() || exec[wk] != snk.Count() || exec[sn] != snk.Count() {
+				t.Errorf("%v: per-node executions %v, want Bad = Worker = Snk = %d", model, exec, snk.Count())
+			}
+			want := fmt.Sprintf("operator Bad (node %d) panicked: boom: Bad", bad)
+			if lf := p.LastFault(); lf != want {
+				t.Errorf("%v: LastFault %q, want %q", model, lf, want)
 			}
 		})
 	}

@@ -16,6 +16,7 @@
 package pe
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -24,6 +25,7 @@ import (
 
 	"streams/internal/cpuutil"
 	"streams/internal/elastic"
+	"streams/internal/exec"
 	"streams/internal/fault"
 	"streams/internal/graph"
 	"streams/internal/metrics"
@@ -73,7 +75,10 @@ type Sample struct {
 	Rule string
 }
 
-// Config parametrizes a PE.
+// Config parametrizes a PE. The fields it shares with Sched (MaxThreads,
+// QueueCap, Fault, QuarantineAfter, ShutdownTimeout, WatchdogInterval,
+// StallThreshold, Tracer, Latency) may be set in either place; New
+// rejects a field set in both places to different values.
 type Config struct {
 	// Model selects the threading model. Default Dynamic.
 	Model Model
@@ -100,14 +105,15 @@ type Config struct {
 	Sens float64
 	// Trace, if set, observes every adaptation period.
 	Trace func(Sample)
-	// QueueCap tunes the dedicated model's per-port queues. Default 64.
+	// QueueCap is the per-input-port queue capacity of the dedicated and
+	// dynamic models. Default 64.
 	QueueCap int
 	// Fault installs a chaos injector, consulted at the operator and
 	// queue seams of whichever runner executes the graph. Nil (the
 	// default) means no injection and no injection cost.
 	Fault *fault.Injector
 	// QuarantineAfter is the per-operator panic budget before the
-	// containment layer quarantines it. Default 3.
+	// execution core quarantines it. Default 3.
 	QuarantineAfter int
 	// ShutdownTimeout bounds the dynamic scheduler's wait for its threads
 	// to exit on shutdown. Default 60s; negative waits forever.
@@ -136,6 +142,9 @@ type PE struct {
 	g   *graph.Graph
 	cfg Config
 
+	// core executes the operators under every threading model and holds
+	// the execution meters, the containment state and the drain state.
+	core   *exec.Core
 	runner runner
 
 	stopSources chan struct{}
@@ -151,28 +160,18 @@ type PE struct {
 	level atomic.Int64
 }
 
-// runner abstracts the three threading models.
+// runner abstracts how the three threading models place operator
+// execution on threads; what an execution does is the core's.
 type runner interface {
-	// start launches execution threads and returns the submitters the
-	// source threads will use, indexed like g.SourceNodes.
+	// start launches the model's execution threads.
 	start() error
 	// sourceSubmitter returns the submitter for source i.
 	sourceSubmitter(i int) graph.Submitter
 	// sourceDone signals source i finished (final punctuation).
 	sourceDone(i int)
-	// executed returns tuples processed across all operators.
-	executed() uint64
-	// sinkDelivered returns tuples delivered to sinks.
-	sinkDelivered() uint64
 	// backlog returns the total tuple occupancy across the runner's
 	// queues (0 for the queueless manual model).
 	backlog() int
-	// done is closed when the graph has drained.
-	done() <-chan struct{}
-	// faults snapshots the fault-containment meters.
-	faults() metrics.FaultsSnapshot
-	// lastFault describes the most recent contained fault ("" if none).
-	lastFault() string
 	// shutdown stops all execution threads, bounded by the configured
 	// shutdown deadline where the model has one.
 	shutdown() error
@@ -180,17 +179,12 @@ type runner interface {
 
 // New validates the configuration and builds a PE.
 func New(g *graph.Graph, cfg Config) (*PE, error) {
-	if cfg.Threads == 0 {
-		cfg.Threads = 1
-	}
 	if cfg.Threads < 0 {
 		return nil, fmt.Errorf("pe: negative thread count %d", cfg.Threads)
 	}
-	if cfg.AdaptPeriod == 0 {
-		cfg.AdaptPeriod = 10 * time.Second
-	}
-	if cfg.MaxThreads == 0 {
-		cfg.MaxThreads = runtime.NumCPU()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Elastic && cfg.Model != Dynamic {
 		return nil, fmt.Errorf("pe: elasticity requires the dynamic model, got %v", cfg.Model)
@@ -201,43 +195,76 @@ func New(g *graph.Graph, cfg Config) (*PE, error) {
 		stopSources: make(chan struct{}),
 		adaptStop:   make(chan struct{}),
 	}
+	// The manual and dedicated models charge the core's meters per
+	// source thread and per port thread.
+	opts := exec.Options{
+		Shards:          len(g.Ports) + len(g.SourceNodes),
+		QuarantineAfter: cfg.QuarantineAfter,
+		Fault:           cfg.Fault,
+		Latency:         cfg.Latency,
+	}
 	switch cfg.Model {
 	case Manual:
-		pe.runner = newFusedRunner(g, cfg.Fault, cfg.QuarantineAfter, cfg.Latency)
+		pe.core = exec.New(g, opts)
+		pe.runner = newManualRunner(g, pe.core, cfg.Latency != nil)
 	case Dedicated:
-		pe.runner = newDedicatedRunner(g, cfg.QueueCap, cfg.Fault, cfg.QuarantineAfter, cfg.Latency)
+		pe.core = exec.New(g, opts)
+		pe.runner = newDedicatedRunner(g, pe.core, cfg.QueueCap, cfg.Fault, cfg.Latency != nil)
 	case Dynamic:
-		sc := cfg.Sched
-		if sc.MaxThreads == 0 {
-			sc.MaxThreads = max(cfg.MaxThreads, cfg.Threads)
-		}
-		if cfg.Tracer != nil {
-			sc.Tracer = cfg.Tracer
-		}
-		if cfg.Latency != nil {
-			sc.Latency = cfg.Latency
-		}
-		if cfg.Fault != nil {
-			sc.Fault = cfg.Fault
-		}
-		if cfg.QuarantineAfter != 0 {
-			sc.QuarantineAfter = cfg.QuarantineAfter
-		}
-		if cfg.ShutdownTimeout != 0 {
-			sc.ShutdownTimeout = cfg.ShutdownTimeout
-		}
-		if cfg.WatchdogInterval != 0 {
-			sc.WatchdogInterval = cfg.WatchdogInterval
-		}
-		if cfg.StallThreshold != 0 {
-			sc.StallThreshold = cfg.StallThreshold
-		}
-		pe.runner = newDynamicRunner(g, sc, cfg.Threads)
+		d := &dynamicRunner{s: sched.New(g, cfg.Sched), g: g, initial: cfg.Threads}
+		pe.core, pe.runner = d.s.Core, d
 	default:
 		return nil, fmt.Errorf("pe: unknown threading model %v", cfg.Model)
 	}
 	pe.level.Store(int64(pe.initialLevel()))
 	return pe, nil
+}
+
+// withDefaults fills in the defaults and reconciles the fields Config
+// shares with its Sched block, leaving both copies equal except
+// Sched.MaxThreads, which becomes the dynamic scheduler's thread-table
+// size: MaxThreads, raised to Threads.
+func (cfg Config) withDefaults() (Config, error) {
+	if cfg.Threads == 0 {
+		cfg.Threads = 1
+	}
+	if cfg.AdaptPeriod == 0 {
+		cfg.AdaptPeriod = 10 * time.Second
+	}
+	sc := &cfg.Sched
+	err := errors.Join(
+		shared("MaxThreads", &cfg.MaxThreads, &sc.MaxThreads),
+		shared("QueueCap", &cfg.QueueCap, &sc.QueueCap),
+		shared("Fault", &cfg.Fault, &sc.Fault),
+		shared("QuarantineAfter", &cfg.QuarantineAfter, &sc.QuarantineAfter),
+		shared("ShutdownTimeout", &cfg.ShutdownTimeout, &sc.ShutdownTimeout),
+		shared("WatchdogInterval", &cfg.WatchdogInterval, &sc.WatchdogInterval),
+		shared("StallThreshold", &cfg.StallThreshold, &sc.StallThreshold),
+		shared("Tracer", &cfg.Tracer, &sc.Tracer),
+		shared("Latency", &cfg.Latency, &sc.Latency),
+	)
+	if cfg.MaxThreads == 0 {
+		cfg.MaxThreads = runtime.NumCPU()
+	}
+	sc.MaxThreads = max(cfg.MaxThreads, cfg.Threads)
+	return cfg, err
+}
+
+// shared reconciles a field set in Config (top) and in Config.Sched
+// (sub): a value set in one place is copied to the other, and different
+// values set in both are an error.
+func shared[T comparable](name string, top, sub *T) error {
+	var zero T
+	switch {
+	case *top == *sub:
+	case *top == zero:
+		*top = *sub
+	case *sub == zero:
+		*sub = *top
+	default:
+		return fmt.Errorf("pe: %s is %v in Config but %v in Config.Sched", name, *top, *sub)
+	}
+	return nil
 }
 
 func (pe *PE) initialLevel() int {
@@ -312,7 +339,7 @@ func (pe *PE) adaptLoop() {
 	lt.Observe(ctl.Level(), 0)
 
 	start := time.Now()
-	lastCount := pe.runner.executed()
+	lastCount := pe.core.Executed()
 	lastAt := start
 	ticker := time.NewTicker(pe.cfg.AdaptPeriod)
 	defer ticker.Stop()
@@ -320,10 +347,10 @@ func (pe *PE) adaptLoop() {
 		select {
 		case <-pe.adaptStop:
 			return
-		case <-pe.runner.done():
+		case <-pe.core.Done():
 			return
 		case now := <-ticker.C:
-			count := pe.runner.executed()
+			count := pe.core.Executed()
 			dt := now.Sub(lastAt).Seconds()
 			if dt <= 0 {
 				continue
@@ -358,17 +385,8 @@ func (pe *PE) applyLevel(dyn *dynamicRunner, level int) {
 // elasticity controller (the last ring). Build the tracer with
 // trace.New(pe.TraceRings(cfg, g), 0) and pass it in cfg.Tracer.
 func TraceRings(cfg Config, g *graph.Graph) int {
-	sc := cfg.Sched
-	if sc.MaxThreads == 0 {
-		if cfg.MaxThreads == 0 {
-			cfg.MaxThreads = runtime.NumCPU()
-		}
-		if cfg.Threads == 0 {
-			cfg.Threads = 1
-		}
-		sc.MaxThreads = max(cfg.MaxThreads, cfg.Threads)
-	}
-	return sched.TraceRings(sc, g)
+	cfg, _ = cfg.withDefaults() // New rejects a conflicting cfg
+	return sched.TraceRings(cfg.Sched, g)
 }
 
 // LevelTrace emits one KindElastic trace event per elasticity level
@@ -421,16 +439,11 @@ func (pe *PE) Level() int { return int(pe.level.Load()) }
 func (pe *PE) Model() Model { return pe.cfg.Model }
 
 // Executed returns tuples processed across all operators since Start.
-func (pe *PE) Executed() uint64 { return pe.runner.executed() }
+func (pe *PE) Executed() uint64 { return pe.core.Executed() }
 
 // OperatorCounts returns per-operator execution counts keyed by operator
-// name (dynamic model only; nil otherwise).
-func (pe *PE) OperatorCounts() map[string]uint64 {
-	if d, ok := pe.runner.(*dynamicRunner); ok {
-		return d.s.OperatorCounts()
-	}
-	return nil
-}
+// name.
+func (pe *PE) OperatorCounts() map[string]uint64 { return pe.core.OperatorCounts() }
 
 // FlowEdges returns the static flow edges — one per input-port queue,
 // with producer/consumer operator names and the queue capacity — for
@@ -459,27 +472,18 @@ func (pe *PE) SampleFlow(depth []int, resched, blockedNs []uint64) bool {
 }
 
 // NodeExecuted fills per-node cumulative execution counts; out must be
-// NumNodes() long. Reports false under models without a scheduler.
+// NumNodes() long. It reports true under every threading model.
 func (pe *PE) NodeExecuted(out []uint64) bool {
-	d, ok := pe.runner.(*dynamicRunner)
-	if !ok {
-		return false
-	}
-	d.s.NodeExecuted(out)
+	pe.core.NodeExecuted(out)
 	return true
 }
 
-// QuarantinedNode reports whether the fault-containment layer has
-// quarantined the node (dynamic model only; false otherwise).
-func (pe *PE) QuarantinedNode(nodeID int) bool {
-	if d, ok := pe.runner.(*dynamicRunner); ok {
-		return d.s.Quarantined(nodeID)
-	}
-	return false
-}
+// QuarantinedNode reports whether the execution core has quarantined
+// the node.
+func (pe *PE) QuarantinedNode(nodeID int) bool { return pe.core.Quarantined(nodeID) }
 
 // SinkDelivered returns tuples delivered to sink operators since Start.
-func (pe *PE) SinkDelivered() uint64 { return pe.runner.sinkDelivered() }
+func (pe *PE) SinkDelivered() uint64 { return pe.core.SinkDelivered() }
 
 // Backlog returns the total tuple occupancy across the runner's input
 // queues (0 under the queueless manual model). Racy by design: it is an
@@ -532,12 +536,11 @@ func (pe *PE) SchedStats() SchedStats {
 	}
 }
 
-// FaultStats snapshots the fault-containment meters under every
-// threading model.
-func (pe *PE) FaultStats() metrics.FaultsSnapshot { return pe.runner.faults() }
+// FaultStats snapshots the fault-containment meters.
+func (pe *PE) FaultStats() metrics.FaultsSnapshot { return pe.core.Faults() }
 
 // LastFault describes the most recent contained fault ("" if none).
-func (pe *PE) LastFault() string { return pe.runner.lastFault() }
+func (pe *PE) LastFault() string { return pe.core.LastFault() }
 
 // Err returns the first error recorded while stopping the PE (for
 // example a shutdown-deadline expiry naming a stuck scheduler thread).
@@ -557,12 +560,12 @@ func (pe *PE) setErr(err error) {
 
 // Done is closed once every input port has processed its final
 // punctuation (bounded sources only).
-func (pe *PE) Done() <-chan struct{} { return pe.runner.done() }
+func (pe *PE) Done() <-chan struct{} { return pe.core.Done() }
 
 // Wait blocks until the graph drains, then releases all threads. Use
 // with bounded sources.
 func (pe *PE) Wait() {
-	<-pe.runner.done()
+	<-pe.core.Done()
 	pe.finish()
 }
 
@@ -573,10 +576,10 @@ func (pe *PE) Wait() {
 // shutdown error (see Err).
 func (pe *PE) WaitTimeout(d time.Duration) error {
 	select {
-	case <-pe.runner.done():
+	case <-pe.core.Done():
 	case <-time.After(d):
 		last := ""
-		if lf := pe.runner.lastFault(); lf != "" {
+		if lf := pe.core.LastFault(); lf != "" {
 			last = " (last fault: " + lf + ")"
 		}
 		return fmt.Errorf("pe: drain deadline %v expired%s\n%s", d, last, fault.GoroutineDump(64<<10))
@@ -593,7 +596,7 @@ func (pe *PE) Stop() {
 	}
 	close(pe.stopSources)
 	pe.sourcesWG.Wait()
-	<-pe.runner.done()
+	<-pe.core.Done()
 	pe.finish()
 }
 
@@ -619,10 +622,6 @@ type dynamicRunner struct {
 	initial int
 }
 
-func newDynamicRunner(g *graph.Graph, cfg sched.Config, threads int) *dynamicRunner {
-	return &dynamicRunner{s: sched.New(g, cfg), g: g, initial: threads}
-}
-
 func (d *dynamicRunner) start() error {
 	d.s.Start(d.initial)
 	return nil
@@ -632,11 +631,6 @@ func (d *dynamicRunner) sourceSubmitter(i int) graph.Submitter {
 	return d.s.SourceSubmitter(d.g.SourceNodes[i], i)
 }
 
-func (d *dynamicRunner) sourceDone(i int)               { d.s.SourceDone(d.g.SourceNodes[i], i) }
-func (d *dynamicRunner) executed() uint64               { return d.s.Executed() }
-func (d *dynamicRunner) sinkDelivered() uint64          { return d.s.SinkDelivered() }
-func (d *dynamicRunner) backlog() int                   { return d.s.Backlog() }
-func (d *dynamicRunner) done() <-chan struct{}          { return d.s.Done() }
-func (d *dynamicRunner) faults() metrics.FaultsSnapshot { return d.s.Faults() }
-func (d *dynamicRunner) lastFault() string              { return d.s.LastFault() }
-func (d *dynamicRunner) shutdown() error                { return d.s.Shutdown() }
+func (d *dynamicRunner) sourceDone(i int) { d.s.SourceDone(d.g.SourceNodes[i], i) }
+func (d *dynamicRunner) backlog() int     { return d.s.Backlog() }
+func (d *dynamicRunner) shutdown() error  { return d.s.Shutdown() }

@@ -1,6 +1,7 @@
 package pe
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -96,45 +97,43 @@ func TestPunctuationAcrossModels(t *testing.T) {
 	}
 }
 
-// TestOperatorCounts verifies the dynamic model's per-operator metrics.
+// TestOperatorCounts verifies the per-operator metrics under every
+// threading model: each stage of a pipeline executes every tuple exactly
+// once, and the per-node counts agree with the per-name ones.
 func TestOperatorCounts(t *testing.T) {
 	const n = 3000
-	b := graph.NewBuilder()
-	src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
-	w1 := b.AddNode(&ops.Worker{OpName: "stage1"}, 1, 1)
-	w2 := b.AddNode(&ops.Worker{OpName: "stage2"}, 1, 1)
-	snk := b.AddNode(&ops.Sink{}, 1, 0)
-	b.Connect(src, 0, w1, 0)
-	b.Connect(w1, 0, w2, 0)
-	b.Connect(w2, 0, snk, 0)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(g, Config{Model: Dynamic, Threads: 2, MaxThreads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p.Wait()
-	counts := p.OperatorCounts()
-	for _, name := range []string{"stage1", "stage2", "Snk"} {
-		if counts[name] != n {
-			t.Fatalf("operator %q executed %d tuples, want %d (all: %v)", name, counts[name], n, counts)
-		}
-	}
-	// Non-dynamic models report nil.
-	g2, _, err := ops.Pipeline(1, 0).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := New(g2, Config{Model: Manual})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.OperatorCounts() != nil {
-		t.Fatal("manual model should not report operator counts")
+	for _, model := range []Model{Manual, Dedicated, Dynamic} {
+		t.Run(model.String(), func(t *testing.T) {
+			b := graph.NewBuilder()
+			src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
+			w1 := b.AddNode(&ops.Worker{OpName: "stage1"}, 1, 1)
+			w2 := b.AddNode(&ops.Worker{OpName: "stage2"}, 1, 1)
+			snk := b.AddNode(&ops.Sink{}, 1, 0)
+			b.Connect(src, 0, w1, 0)
+			b.Connect(w1, 0, w2, 0)
+			b.Connect(w2, 0, snk, 0)
+			g, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := New(g, Config{Model: model, Threads: 2, MaxThreads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runToDrain(t, p)
+			counts := p.OperatorCounts()
+			for _, name := range []string{"stage1", "stage2", "Snk"} {
+				if counts[name] != n {
+					t.Errorf("operator %q executed %d tuples, want %d (all: %v)", name, counts[name], n, counts)
+				}
+			}
+			exec := make([]uint64, p.NumNodes())
+			if !p.NodeExecuted(exec) {
+				t.Fatal("NodeExecuted reported no per-node meters")
+			}
+			if want := []uint64{0, n, n, n}; !slices.Equal(exec, want) {
+				t.Errorf("NodeExecuted = %v, want %v", exec, want)
+			}
+		})
 	}
 }

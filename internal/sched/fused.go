@@ -230,12 +230,7 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 		}
 		counts = fr.mach.SegCounts()
 	}
-	var total uint64
-	for i, n := range fr.nodes {
-		s.perNode[n.ID].Add(counts[i])
-		total += counts[i]
-	}
-	s.executed.Add(tid, total)
+	total := s.ChargeRun(tid, fr.nodes, counts)
 	if thr != nil {
 		thr.chainBudget = max(thr.chainBudget-int(total), 0)
 		thr.heartbeat.Add(1)
@@ -283,11 +278,9 @@ func (s *Scheduler) lockFusedRun(c *ctx, fr *fusedRun, batch []tuple.Tuple, atDe
 			return false
 		}
 	}
-	if s.faultsSeen.Load() {
-		for _, n := range fr.nodes {
-			if s.quarantined[n.ID].Load() {
-				return false
-			}
+	for _, n := range fr.nodes {
+		if s.Quarantined(n.ID) {
+			return false
 		}
 	}
 	if atDequeue {
@@ -323,7 +316,7 @@ func (s *Scheduler) lockFusedRun(c *ctx, fr *fusedRun, batch []tuple.Tuple, atDe
 func (s *Scheduler) runFusedTuple(fr *fusedRun, t tuple.Tuple, tid int) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.containPanic(tid, fr.nodes[fr.mach.CurSeg()], r, true)
+			s.ContainPanic(tid, fr.nodes[fr.mach.CurSeg()], r, true)
 		}
 	}()
 	fr.mach.Run(fr.prog, t, &fr.emit)
@@ -370,7 +363,7 @@ func (s *Scheduler) vecCompute(fr *fusedRun, batch []tuple.Tuple, tid int, port 
 func (s *Scheduler) vecEmit(fr *fusedRun, tid int) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.containPanic(tid, fr.nodes[fr.bm.CurSeg()], r, true)
+			s.ContainPanic(tid, fr.nodes[fr.bm.CurSeg()], r, true)
 		}
 	}()
 	fr.bm.EmitRows(&fr.emit)

@@ -263,6 +263,13 @@ func checkScatterQueues(t *testing.T, s *Scheduler, g *graph.Graph, split, width
 	}
 }
 
+// nodeExecuted reads one node's execution count.
+func nodeExecuted(s *Scheduler, id int) uint64 {
+	counts := make([]uint64, len(s.g.Nodes))
+	s.NodeExecuted(counts)
+	return counts[id]
+}
+
 // TestScatterResidencyLive checks the residency property on a running
 // PE: a tuple never outlives the drain that produced it. Whenever the
 // test holds the consumer locks of the splitter and of every worker, no
@@ -320,10 +327,10 @@ func TestScatterResidencyLive(t *testing.T) {
 				checks := 0
 				defer func() { checked <- checks }()
 				for lockAll() {
-					out := s.perNode[split.ID].Load()
+					out := nodeExecuted(s, split.ID)
 					var in uint64
 					for _, w := range workers {
-						in += s.perNode[w.ID].Load() + uint64(s.queues[w.InPorts[0]].Queue().Len())
+						in += nodeExecuted(s, w.ID) + uint64(s.queues[w.InPorts[0]].Queue().Len())
 					}
 					for _, pid := range ports {
 						s.queues[pid].ConsUnlock()
@@ -362,7 +369,7 @@ func TestScatterResidencyLive(t *testing.T) {
 				t.Fatalf("sink saw %d tuples, want %d", got, n)
 			}
 			for _, w := range workers {
-				if got := s.perNode[w.ID].Load(); got != n/width {
+				if got := nodeExecuted(s, w.ID); got != n/width {
 					t.Errorf("worker %s executed %d, want %d", w.Op.Name(), got, n/width)
 				}
 			}
@@ -500,7 +507,7 @@ func TestScatterAndSubmitBatchZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, scatter); avg != 0 {
 		t.Errorf("steady-state scatter allocates %.2f times per drain", avg)
 	}
-	if s.perNode[split.ID].Load() == 0 {
+	if nodeExecuted(s, split.ID) == 0 {
 		t.Fatal("the scatter loop executed nothing")
 	}
 	out := s.SourceSubmitter(g.SourceNodes[0], 0)

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streams/internal/exec"
 	"streams/internal/fault"
 	"streams/internal/graph"
 	"streams/internal/lfq"
@@ -189,9 +190,6 @@ func (c Config) withDefaults() Config {
 	if c.DisableChain {
 		c.ChainDepth = 0
 	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = 3
-	}
 	if c.ShutdownTimeout == 0 {
 		c.ShutdownTimeout = 60 * time.Second
 	}
@@ -212,6 +210,11 @@ type freeList interface {
 // Scheduler executes a stream graph with a dynamically sized pool of
 // threads, any of which can execute any operator input port.
 type Scheduler struct {
+	// Core executes the operators and keeps the execution meters, the
+	// containment state and the final-punctuation accounting; its
+	// accessors (Executed, Faults, Done, ...) are the scheduler's.
+	*exec.Core
+
 	g   *graph.Graph
 	cfg Config
 
@@ -240,13 +243,6 @@ type Scheduler struct {
 	// operator concurrently the stamp order is advisory; for single-
 	// input-port operators it is exact.
 	seqs [][]atomic.Uint64
-
-	// Final-punctuation accounting.
-	remainingProducers []atomic.Int32 // per port: finals still expected
-	nodeOpenIns        []atomic.Int32 // per node: input ports still open
-	portClosed         []atomic.Bool  // per port: final processed
-	openPorts          atomic.Int32   // ports not yet closed
-	sourcesLeft        atomic.Int32   // source nodes still running
 
 	// Global fall-back stop flags for threads the scheduler does not
 	// control (operator/source threads executing reSchedule).
@@ -280,16 +276,10 @@ type Scheduler struct {
 	// their own free list instead (Thread.ctxCache).
 	ctxPool sync.Pool
 
-	// Metrics. executed counts every tuple processed by every operator —
-	// the PE-wide throughput the elasticity algorithm consumes (§5.4
-	// notes Fig. 11 reports exactly this). perNode tracks per-operator
-	// execution counts, the product's per-operator metrics.
-	executed    *metrics.Counter
-	sinkDeliver *metrics.Counter // tuples that reached sink operators
+	// Scheduling meters (the execution meters live in Core).
 	reschedules *metrics.Counter
 	findFails   *metrics.Counter
 	contention  *metrics.Contention // free-list push/pop failures, steals, spills
-	perNode     []atomic.Uint64
 
 	// Per-port flow meters for the observability layer (internal/obs):
 	// how often a push to this port's queue fell into reSchedule and how
@@ -318,19 +308,10 @@ type Scheduler struct {
 	fusedRuns []*fusedRun
 	vms       *metrics.VM
 
-	// Fault containment. inj is the chaos injector (nil when disabled —
-	// the seams then cost a nil check). faultsSeen flips true on the
-	// first recovered panic and gates the per-span quarantine lookup, so
-	// fault-free runs never read the quarantine table. strikes and
-	// quarantined are per-node; faults holds the sharded meters.
-	inj         *fault.Injector
-	tr          *trace.Tracer      // nil when tracing is off
-	latency     *metrics.Histogram // nil when latency measurement is off
-	faults      *metrics.Faults
-	faultsSeen  atomic.Bool
-	strikes     []atomic.Int32
-	quarantined []atomic.Bool
-	lastFault   atomic.Value // string: most recent panic/stall description
+	// inj is the chaos injector (nil when disabled — the queue seams
+	// then cost a nil check).
+	inj *fault.Injector
+	tr  *trace.Tracer // nil when tracing is off
 
 	// Watchdog bookkeeping: the goroutine is started with the first
 	// scheduler thread (when WatchdogInterval > 0) and stopped by
@@ -338,8 +319,6 @@ type Scheduler struct {
 	watchdogOnce sync.Once
 	watchdogStop chan struct{}
 	watchdogWG   sync.WaitGroup
-
-	done chan struct{} // closed when portsClosed goes global
 }
 
 // New builds a scheduler for the graph. Call Start (or SetLevel) to
@@ -373,41 +352,30 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	// plus one per source operator thread.
 	writers := cfg.MaxThreads + len(g.SourceNodes)
 	s := &Scheduler{
-		g:                  g,
-		cfg:                cfg,
-		useShards:          !cfg.GlobalFreeList && !cfg.FreeListLIFO && !cfg.BlockOnFullQueue,
-		batchCap:           batchCap,
-		queues:             make([]*lfq.Enforcer[tuple.Tuple], nPorts),
-		freePorts:          fl,
-		seqs:               make([][]atomic.Uint64, len(g.Nodes)),
-		slotBase:           make([][]int32, len(g.Nodes)),
-		numSlots:           make([]int, len(g.Nodes)),
-		remainingProducers: make([]atomic.Int32, nPorts),
-		nodeOpenIns:        make([]atomic.Int32, len(g.Nodes)),
-		portClosed:         make([]atomic.Bool, nPorts),
-		threads:            make([]*Thread, cfg.MaxThreads),
-		started:            make([]bool, cfg.MaxThreads),
-		executed:           metrics.NewCounter(writers),
-		sinkDeliver:        metrics.NewCounter(writers),
-		reschedules:        metrics.NewCounter(writers),
-		findFails:          metrics.NewCounter(writers),
-		contention:         metrics.NewContention(writers),
-		perNode:            make([]atomic.Uint64, len(g.Nodes)),
-		portResched:        make([]atomic.Uint64, nPorts),
-		portBlockedNs:      make([]atomic.Uint64, nPorts),
-		chainable:          make([]bool, nPorts),
-		chainDepth:         cfg.ChainDepth,
-		chainBudget0:       cfg.ChainDepth * batchCap,
-		chains:             metrics.NewChain(writers),
-		vms:                metrics.NewVM(writers),
-		inj:                cfg.Fault,
-		tr:                 cfg.Tracer,
-		latency:            cfg.Latency,
-		faults:             metrics.NewFaults(writers),
-		strikes:            make([]atomic.Int32, len(g.Nodes)),
-		quarantined:        make([]atomic.Bool, len(g.Nodes)),
-		watchdogStop:       make(chan struct{}),
-		done:               make(chan struct{}),
+		g:             g,
+		cfg:           cfg,
+		useShards:     !cfg.GlobalFreeList && !cfg.FreeListLIFO && !cfg.BlockOnFullQueue,
+		batchCap:      batchCap,
+		queues:        make([]*lfq.Enforcer[tuple.Tuple], nPorts),
+		freePorts:     fl,
+		seqs:          make([][]atomic.Uint64, len(g.Nodes)),
+		slotBase:      make([][]int32, len(g.Nodes)),
+		numSlots:      make([]int, len(g.Nodes)),
+		threads:       make([]*Thread, cfg.MaxThreads),
+		started:       make([]bool, cfg.MaxThreads),
+		reschedules:   metrics.NewCounter(writers),
+		findFails:     metrics.NewCounter(writers),
+		contention:    metrics.NewContention(writers),
+		portResched:   make([]atomic.Uint64, nPorts),
+		portBlockedNs: make([]atomic.Uint64, nPorts),
+		chainable:     make([]bool, nPorts),
+		chainDepth:    cfg.ChainDepth,
+		chainBudget0:  cfg.ChainDepth * batchCap,
+		chains:        metrics.NewChain(writers),
+		vms:           metrics.NewVM(writers),
+		inj:           cfg.Fault,
+		tr:            cfg.Tracer,
+		watchdogStop:  make(chan struct{}),
 	}
 	s.bufPool.New = func() any {
 		b := make([]tuple.Tuple, batchCap)
@@ -426,14 +394,12 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	for _, p := range g.Ports {
 		s.queues[p.ID] = lfq.NewEnforcer[tuple.Tuple](cfg.QueueCap)
 		s.chainable[p.ID] = p.Chainable
-		s.remainingProducers[p.ID].Store(int32(p.Producers))
 		if !s.freePorts.Push(int32(p.ID)) {
 			panic("sched: free list sized too small") // unreachable: listCap > nPorts
 		}
 	}
 	for _, n := range g.Nodes {
 		s.seqs[n.ID] = make([]atomic.Uint64, n.NumOut)
-		s.nodeOpenIns[n.ID].Store(int32(n.NumIn))
 		s.slotBase[n.ID] = make([]int32, n.NumOut)
 		dests := 0
 		for out, subs := range n.Outs {
@@ -446,13 +412,18 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		}
 		s.numSlots[n.ID] = slots
 	}
-	s.openPorts.Store(int32(nPorts))
-	s.sourcesLeft.Store(int32(len(g.SourceNodes)))
+	// Built once the thread table is: a graph without ports is drained
+	// at once, and Drained walks the table.
+	s.Core = exec.New(g, exec.Options{
+		Shards:          writers,
+		QuarantineAfter: cfg.QuarantineAfter,
+		Fault:           cfg.Fault,
+		Tracer:          cfg.Tracer,
+		Latency:         cfg.Latency,
+		Drained:         s.beginPortsClosed,
+	})
 	s.buildFusedRuns()
 	s.labelTraceRings()
-	if nPorts == 0 {
-		s.beginPortsClosed()
-	}
 	return s
 }
 
@@ -493,18 +464,6 @@ func (s *Scheduler) MinLevel() int { return s.g.MaxInPorts() + 1 }
 // MaxLevel returns the configured thread-table size.
 func (s *Scheduler) MaxLevel() int { return s.cfg.MaxThreads }
 
-// Done is closed when every input port has processed its final
-// punctuation.
-func (s *Scheduler) Done() <-chan struct{} { return s.done }
-
-// Executed returns the total number of tuples processed across all
-// operators.
-func (s *Scheduler) Executed() uint64 { return s.executed.Total() }
-
-// SinkDelivered returns the number of tuples delivered to operators with
-// no output ports (the end-to-end application throughput of §5.1–5.3).
-func (s *Scheduler) SinkDelivered() uint64 { return s.sinkDeliver.Total() }
-
 // Reschedules returns how many times a full-queue push fell into the
 // reSchedule self-help path.
 func (s *Scheduler) Reschedules() uint64 { return s.reschedules.Total() }
@@ -517,11 +476,6 @@ func (s *Scheduler) FindFailures() uint64 { return s.findFails.Total() }
 // overflow spills. All zero except PushFail/PopFail under the
 // GlobalFreeList and FreeListLIFO ablations.
 func (s *Scheduler) Contention() metrics.ContentionSnapshot { return s.contention.Snapshot() }
-
-// Faults returns a snapshot of the fault-containment meters: recovered
-// operator panics, dead-lettered tuples, quarantined operators, and
-// watchdog stall reports. All zero on a healthy PE.
-func (s *Scheduler) Faults() metrics.FaultsSnapshot { return s.faults.Snapshot() }
 
 // Chains returns a snapshot of the inline chain-execution meters:
 // chain starts, links and tuples moved without a queue hand-off, and
@@ -556,12 +510,12 @@ type Stats struct {
 // Stats reads every meter in one pass (see the Stats type's contract).
 func (s *Scheduler) Stats() Stats {
 	return Stats{
-		Executed:      s.executed.Total(),
-		SinkDelivered: s.sinkDeliver.Total(),
+		Executed:      s.Executed(),
+		SinkDelivered: s.SinkDelivered(),
 		Reschedules:   s.reschedules.Total(),
 		FindFailures:  s.findFails.Total(),
 		Contention:    s.contention.Snapshot(),
-		Faults:        s.faults.Snapshot(),
+		Faults:        s.Faults(),
 		Chain:         s.chains.Snapshot(),
 		VM:            s.vms.Snapshot(),
 	}
@@ -579,31 +533,6 @@ func (s *Scheduler) Backlog() int {
 		total += q.Queue().Len()
 	}
 	return total
-}
-
-// LastFault describes the most recent contained fault (a recovered
-// panic or a watchdog stall report), or "" when none has occurred.
-func (s *Scheduler) LastFault() string {
-	if v, ok := s.lastFault.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
-// Quarantined reports whether the node has been quarantined (for tests
-// and diagnostics).
-func (s *Scheduler) Quarantined(nodeID int) bool { return s.quarantined[nodeID].Load() }
-
-// OperatorCounts returns per-operator execution counts keyed by operator
-// name (the product's per-operator metrics). Nodes sharing a name (for
-// example @parallel replicas given distinct names avoid this) have their
-// counts summed.
-func (s *Scheduler) OperatorCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(s.g.Nodes))
-	for _, n := range s.g.Nodes {
-		out[n.Op.Name()] += s.perNode[n.ID].Load()
-	}
-	return out
 }
 
 // Edge describes one input-port queue as a flow edge for the
@@ -665,10 +594,6 @@ func (s *Scheduler) Edges() []Edge {
 // SampleFlow's slices must have).
 func (s *Scheduler) NumPorts() int { return len(s.queues) }
 
-// NumNodes returns the number of operator nodes (the length
-// NodeExecuted's slice must have).
-func (s *Scheduler) NumNodes() int { return len(s.g.Nodes) }
-
 // SampleFlow fills the per-port flow meters in one pass: current queue
 // occupancy, cumulative reSchedule entries, and cumulative nanoseconds
 // producers spent blocked inside reSchedule. Each slice must be
@@ -686,15 +611,6 @@ func (s *Scheduler) SampleFlow(depth []int, resched, blockedNs []uint64) {
 		if blockedNs != nil {
 			blockedNs[i] = s.portBlockedNs[i].Load()
 		}
-	}
-}
-
-// NodeExecuted fills per-node cumulative execution counts (tuples
-// processed by each operator). out must be NumNodes() long.
-// Allocation-free, for the observability sampler.
-func (s *Scheduler) NodeExecuted(out []uint64) {
-	for i := range s.perNode {
-		out[i] = s.perNode[i].Load()
 	}
 }
 
@@ -1265,20 +1181,15 @@ func (s *Scheduler) releaseCtx(ec *ctx) {
 }
 
 // executeBatch processes a batch of tuples popped from a single port's
-// queue, handling punctuation inline. The caller must hold the port's
-// consumer lock and supply that port's drainCtx. Because every tuple
-// targets the same port (batches come from one SPSC queue), the routing
-// lookup and the executed/perNode/sinkDeliver counter updates are paid
-// once per batch instead of once per tuple, and the execution context is
-// shared by all the drain's batches. All tuples in the batch are executed
-// unconditionally: they have already left the queue, so stop and
-// suspension flags are only consulted between batches by the callers.
-//
-// Operator panics are contained at span granularity: a panic ends the
-// current span, the offending tuple is dead-lettered and charged as a
-// strike against its operator, and execution resumes with the next tuple
-// of the batch. The containment cost on the fault-free path is one defer
-// per span (up to batchCap tuples), not one per tuple.
+// queue through the execution core, handling punctuation inline. The
+// caller must hold the port's consumer lock and supply that port's
+// drainCtx. Because every tuple targets the same port (batches come from
+// one SPSC queue), the routing lookup and the counter updates are paid
+// once per span instead of once per tuple, and the execution context is
+// shared by all the drain's batches. All tuples in the batch are
+// executed unconditionally: they have already left the queue, so stop
+// and suspension flags are only consulted between batches by the
+// callers.
 func (s *Scheduler) executeBatch(ec *ctx, p *graph.InPort, batch []tuple.Tuple) {
 	if thr := ec.thr; thr != nil {
 		// Execution nests when operators drain downstream queues through
@@ -1287,214 +1198,33 @@ func (s *Scheduler) executeBatch(ec *ctx, p *graph.InPort, batch []tuple.Tuple) 
 		was := thr.active.Swap(true)
 		defer thr.active.Store(was)
 	}
-	for off := 0; off < len(batch); {
-		off += s.executeSpan(ec, p, batch[off:])
-	}
-}
-
-// executeSpan runs tuples from span until it is exhausted or an operator
-// panics, returning how many tuples were consumed (a panicking tuple
-// counts: it already left its queue, and it is dead-lettered by the
-// recovery). Counters for tuples executed before a panic are settled by
-// the deferred handler, so the PE-close invariant — every executed tuple
-// visible in the counters before Done — survives containment.
-func (s *Scheduler) executeSpan(ec *ctx, p *graph.InPort, span []tuple.Tuple) (consumed int) {
-	data := 0
-	defer func() {
-		if data > 0 {
-			s.chargeExec(ec.tid, p, data)
-		}
-		if r := recover(); r != nil {
-			s.containPanic(ec.tid, p.Node, r, true)
-			consumed++ // the tuple that panicked
-		}
-	}()
-	// Quarantine state is read once per span, not per tuple: faultsSeen
-	// stays false forever on a healthy PE, so the fault-free hot loop
-	// pays one atomic load per span and never touches the table.
-	quarantined := s.faultsSeen.Load() && s.quarantined[p.Node.ID].Load()
-	inj := s.inj
-	// The latency seam: stamped tuples draining at a sink operator charge
-	// the end-to-end histogram. Both tests are hoisted out of the loop so
-	// the common case (latency off, or a non-sink node) pays nothing per
-	// tuple.
-	lat := s.latency
-	if p.Node.NumOut != 0 {
-		lat = nil
-	}
-	for i := range span {
-		consumed = i
-		t := &span[i]
-		switch t.Kind {
-		case tuple.Data:
-			if quarantined {
-				s.faults.DeadLetters.Add(ec.tid, 1)
-				continue
-			}
-			if lat != nil && t.Stamp != 0 {
-				lat.Record(ec.tid, time.Duration(time.Now().UnixNano()-t.Stamp))
-			}
-			if inj != nil {
-				inj.OpFault() // chaos seam: may sleep or panic
-			}
-			p.Node.Op.Process(ec, *t, p.Index)
-			data++
-		case tuple.WindowMark:
-			s.safeOnPunct(ec, p, tuple.WindowMark)
-			forwardPunct(ec, tuple.Window())
-		case tuple.FinalMark:
-			// Settle the span's counts first: handleFinal can cascade
-			// into closing the PE, and every tuple executed before the
-			// close must already be visible in the counters by then
-			// (Wait returns as soon as the PE closes). Coalesced tuples
-			// this node already submitted are unaffected: the forwarded
-			// final queues behind them in the same buffer, so downstream
-			// cannot process it before they flush.
-			if data > 0 {
-				s.chargeExec(ec.tid, p, data)
-				data = 0
-			}
-			s.handleFinal(p, ec)
-		}
-	}
-	return len(span)
-}
-
-// chargeExec settles n data executions at port p into the sharded
-// counters.
-func (s *Scheduler) chargeExec(tid int, p *graph.InPort, n int) {
-	s.executed.Add(tid, uint64(n))
-	s.perNode[p.Node.ID].Add(uint64(n))
-	if p.Node.NumOut == 0 {
-		s.sinkDeliver.Add(tid, uint64(n))
-	}
-}
-
-// containPanic records one recovered operator panic: a strike against
-// the node (quarantining it at the configured budget), a dead-letter for
-// the tuple when one was in flight, and a diagnostic for LastFault.
-func (s *Scheduler) containPanic(tid int, n *graph.Node, r any, deadLetter bool) {
-	s.faultsSeen.Store(true)
-	s.faults.OpPanics.Add(tid, 1)
-	if deadLetter {
-		s.faults.DeadLetters.Add(tid, 1)
-	}
-	if int(s.strikes[n.ID].Add(1)) == s.cfg.QuarantineAfter {
-		s.quarantined[n.ID].Store(true)
-		s.faults.Quarantines.Add(tid, 1)
-		if s.tr.On() {
-			s.tr.Emit(tid, trace.KindQuarantine, int64(n.ID))
-		}
-	}
-	s.lastFault.Store(fmt.Sprintf("operator %s panicked: %v", n.Op.Name(), r))
-}
-
-// safeOnPunct delivers a punctuation callback to the operator under
-// panic containment, skipping quarantined operators entirely. The
-// runtime's own forwarding (the caller's forwardPunct / handleFinal
-// bookkeeping) is outside this scope on purpose: a panicking or
-// quarantined operator must never stop punctuation from propagating, or
-// the PE could not drain past it.
-func (s *Scheduler) safeOnPunct(ec *ctx, p *graph.InPort, k tuple.Kind) {
-	ph, ok := p.Node.Op.(graph.Puncts)
-	if !ok {
-		return
-	}
-	if s.faultsSeen.Load() && s.quarantined[p.Node.ID].Load() {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.containPanic(ec.tid, p.Node, r, false)
-		}
-	}()
-	ph.OnPunct(ec, k, p.Index)
-}
-
-// safeFinish invokes a Finalizer under the same containment rules as
-// safeOnPunct.
-func (s *Scheduler) safeFinish(ec *ctx, n *graph.Node) {
-	f, ok := n.Op.(Finalizer)
-	if !ok {
-		return
-	}
-	if s.faultsSeen.Load() && s.quarantined[n.ID].Load() {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.containPanic(ec.tid, n, r, false)
-		}
-	}()
-	f.Finish(ec)
-}
-
-// forwardPunct submits a punctuation on every output port of the
-// executing node.
-func forwardPunct(c *ctx, t tuple.Tuple) {
-	for out := 0; out < c.node.NumOut; out++ {
-		c.Submit(t, out)
-	}
-}
-
-// Finalizer is implemented by operators that flush state when all their
-// input streams have closed (before the runtime forwards the final
-// punctuation downstream).
-type Finalizer interface {
-	Finish(out graph.Submitter)
-}
-
-// handleFinal accounts one final punctuation on port p and closes the
-// port, the node, and eventually the PE as the counts drain. The
-// operator-facing callbacks (OnPunct, Finish) run under containment and
-// are skipped for quarantined operators; the close bookkeeping and the
-// downstream forwarding always run, so punctuation propagates past a
-// faulty operator and the PE still drains.
-func (s *Scheduler) handleFinal(p *graph.InPort, ec *ctx) {
-	s.safeOnPunct(ec, p, tuple.FinalMark)
-	if s.remainingProducers[p.ID].Add(-1) > 0 {
-		return // more streams still feed this port
-	}
-	s.portClosed[p.ID].Store(true)
-	if s.nodeOpenIns[p.Node.ID].Add(-1) == 0 {
-		s.safeFinish(ec, p.Node)
-		forwardPunct(ec, tuple.Final())
-	}
-	if s.openPorts.Add(-1) == 0 {
-		s.beginPortsClosed()
-	}
+	s.Execute(ec, ec.tid, p, batch)
 }
 
 // beginPortsClosed flips the PE into the drained state: all input ports
 // have seen their final punctuations. It updates every thread's local
 // flag — the walk the paper accepts at shutdown so the hot loop never
-// reads shared state (§4.1.2).
+// reads shared state (§4.1.2). The core runs it once, before Done
+// closes.
 func (s *Scheduler) beginPortsClosed() {
-	if s.portsClosedGlobal.Swap(true) {
-		return
-	}
+	s.portsClosedGlobal.Store(true)
 	for _, t := range s.threads {
 		t.portsClosed.Store(true)
 		t.interrupt()
 	}
-	close(s.done)
 }
 
 // SourceSubmitter returns the Submitter a source operator thread uses to
 // inject tuples. srcIndex identifies the source thread (0-based) for
 // metric sharding.
 func (s *Scheduler) SourceSubmitter(node *graph.Node, srcIndex int) graph.Submitter {
-	return &ctx{s: s, node: node, tid: s.cfg.MaxThreads + srcIndex, thr: nil, stamp: s.latency != nil}
+	return &ctx{s: s, node: node, tid: s.cfg.MaxThreads + srcIndex, thr: nil, stamp: s.cfg.Latency != nil}
 }
 
 // SourceDone tells the scheduler a source operator has finished: the
-// scheduler emits final punctuation on all the source's output ports and,
-// when the last source finishes on a graph whose sources have no output
-// ports at all, closes the PE.
+// scheduler emits final punctuation on all the source's output ports.
 func (s *Scheduler) SourceDone(node *graph.Node, srcIndex int) {
-	ec := &ctx{s: s, node: node, tid: s.cfg.MaxThreads + srcIndex, thr: nil}
-	forwardPunct(ec, tuple.Final())
-	s.sourcesLeft.Add(-1)
+	exec.Forward(&ctx{s: s, node: node, tid: s.cfg.MaxThreads + srcIndex}, node, tuple.Final())
 }
 
 // Start launches the scheduler at thread level n (clamped to
@@ -1647,7 +1377,7 @@ func (s *Scheduler) watchdog() {
 		select {
 		case <-s.watchdogStop:
 			return
-		case <-s.done:
+		case <-s.Done():
 			return
 		case now := <-ticker.C:
 			for i, t := range s.threads {
@@ -1664,8 +1394,7 @@ func (s *Scheduler) watchdog() {
 				}
 				if d := now.Sub(since[i]); d >= s.cfg.StallThreshold && !reported[i] {
 					reported[i] = true
-					s.faults.WatchdogStalls.Add(i, 1)
-					s.lastFault.Store(fmt.Sprintf(
+					s.ReportStall(i, fmt.Sprintf(
 						"sched: thread %d stuck in operator code for %v (heartbeat epoch %d)", i, d, hb))
 				}
 			}
@@ -1676,7 +1405,7 @@ func (s *Scheduler) watchdog() {
 // Wait blocks until the graph drains (all ports closed) and then stops
 // the scheduler threads.
 func (s *Scheduler) Wait() {
-	<-s.done
+	<-s.Done()
 	s.wg.Wait()
 }
 
@@ -1863,7 +1592,7 @@ func (s *Scheduler) popLocal(t *tuple.Tuple, thr *Thread) bool {
 			found = true
 			break
 		}
-		if !s.portClosed[port].Load() {
+		if !s.PortClosed(port) {
 			scratch = append(scratch, port)
 		}
 	}
@@ -1945,7 +1674,7 @@ func (s *Scheduler) pollGlobal(t *tuple.Tuple, thr *Thread) bool {
 // list on overflow; the global list serves the unsharded ablations
 // directly. Closed ports are dropped.
 func (s *Scheduler) makePortFree(port int32, thr *Thread) {
-	if s.portClosed[port].Load() {
+	if s.PortClosed(port) {
 		return
 	}
 	tid := 0
@@ -2010,7 +1739,7 @@ func (s *Scheduler) drainShard(thr *Thread) {
 	}
 	var port int32
 	for thr.shard.PopBottom(&port) {
-		if s.portClosed[port].Load() {
+		if s.PortClosed(port) {
 			continue
 		}
 		s.pushGlobalFree(port, thr.id)
@@ -2094,7 +1823,7 @@ func (s *Scheduler) tryTake(port int32, t *tuple.Tuple) bool {
 // requeue returns a port to the back of the global free list unless it
 // has closed.
 func (s *Scheduler) requeue(port int32, tid int) {
-	if s.portClosed[port].Load() {
+	if s.PortClosed(port) {
 		return
 	}
 	s.pushGlobalFree(port, tid)

@@ -1138,7 +1138,7 @@ func (s *FileSinkOp) Process(_ graph.Submitter, t tuple.Tuple, _ int) {
 	s.count++
 }
 
-// Finish implements sched.Finalizer: flush and close at final
+// Finish implements graph.Finalizer: flush and close at final
 // punctuation.
 func (s *FileSinkOp) Finish(graph.Submitter) {
 	s.mu.Lock()
@@ -1271,7 +1271,7 @@ func (o *aggregateOp) Process(out graph.Submitter, t tuple.Tuple, _ int) {
 	}
 }
 
-// Finish implements sched.Finalizer: flush a partial window.
+// Finish implements graph.Finalizer: flush a partial window.
 func (o *aggregateOp) Finish(out graph.Submitter) {
 	o.mu.Lock()
 	var res Tup

@@ -276,7 +276,7 @@ func (e *Export) OnPunct(_ graph.Submitter, k tuple.Kind, _ int) {
 	}
 }
 
-// Finish implements sched.Finalizer: send the final punctuation, then
+// Finish implements graph.Finalizer: send the final punctuation, then
 // wait — reconnecting if necessary, bounded by DrainTimeout — until the
 // peer has acknowledged every frame, and close.
 func (e *Export) Finish(graph.Submitter) {

@@ -38,7 +38,6 @@ import (
 	"streams/internal/graph"
 	"streams/internal/ops"
 	"streams/internal/pe"
-	"streams/internal/sched"
 	"streams/internal/tuple"
 )
 
@@ -175,7 +174,6 @@ func RunGraph(g *Graph, cfg RunConfig) (*Job, error) {
 		Trace:       cfg.Trace,
 		CPUUsage:    usage,
 		QueueCap:    cfg.QueueCap,
-		Sched:       sched.Config{QueueCap: cfg.QueueCap},
 	})
 	if err != nil {
 		return nil, err
