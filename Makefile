@@ -25,6 +25,7 @@ check: vet build test race
 # under the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVerifyRun$$' -fuzztime 10s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s ./internal/obs
 
 # chaos runs the deterministic fault-injection soak under the race
 # detector: seeded panics, slowdowns and queue stalls inside the

@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,127 +41,53 @@ type event struct {
 // complete spans, instants, and metadata.
 var knownPhases = map[string]bool{"X": true, "i": true, "M": true}
 
-// chainStopReasons is the closed set of fall-back reasons the exporter
-// writes on chain-stop instants (trace.ChainStopReason).
-var chainStopReasons = map[string]bool{
-	"depth": true, "budget": true, "lock": true, "occupied": true, "halt": true,
-}
-
-// flightRecReasons is the closed set of trigger names the flight
-// recorder writes on flightrec-dump instants, derived from the trace
-// package's own reason table so the two cannot drift.
-var flightRecReasons = func() map[string]bool {
-	m := map[string]bool{}
-	for _, c := range []int32{
-		trace.FlightRecQuarantine, trace.FlightRecWatchdog,
-		trace.FlightRecShutdown, trace.FlightRecOverload, trace.FlightRecManual,
-	} {
-		m[trace.FlightRecReason(c)] = true
+// schemas maps every event name the exporter can emit to its argument
+// schema: each trace kind's row of the trace registry, plus the drain
+// span the exporter pairs from an acquire (its port) and a release (its
+// tuple count). -strict fails on any other name.
+var schemas = func() map[string][]trace.Arg {
+	m := map[string][]trace.Arg{
+		"drain": slices.Concat(trace.KindAcquire.Args(), trace.KindRelease.Args()),
+	}
+	for _, k := range trace.AllKinds() {
+		m[k.String()] = k.Args()
 	}
 	return m
 }()
 
-// knownNames is every event name the exporter can emit: the trace
-// kinds plus the drain/park spans the exporter synthesizes from
-// start/end pairs. -strict fails on anything else.
-var knownNames = func() map[string]bool {
-	m := map[string]bool{"drain": true, "park": true}
-	for _, n := range trace.KindNames() {
-		m[n] = true
-	}
-	return m
-}()
-
-// checkArgs validates the argument payload of the instants with a
-// typed schema: a chain link must carry its 1-based depth and a
-// non-negative port, a chain-stop must name a known fall-back reason,
-// a steal must carry a non-negative victim and port, a vm-fuse a fused
-// segment count of at least 2 on a non-negative port, and a vm-vec (or
-// vm-vec-abort) a vectorized batch of at least one row. Any other event
-// name passes through untouched.
+// checkArgs validates an event's args against its schema: every
+// argument present, a numeric one at least its minimum, a reason one of
+// its closed set of names. A drain instant is half a pair — its acquire
+// or its release was cut off — so it carries one side's args, not both.
+// Names without a schema pass through untouched.
 func checkArgs(e event) error {
-	num := func(key string, min float64) (float64, error) {
-		v, ok := e.Args[key]
+	half := *e.Name == "drain" && *e.Ph == "i"
+	n := 0
+	for _, a := range schemas[*e.Name] {
+		v, ok := e.Args[a.Name]
 		if !ok {
-			return 0, fmt.Errorf("missing arg %q", key)
+			if half {
+				continue
+			}
+			return fmt.Errorf("missing arg %q", a.Name)
+		}
+		n++
+		if a.Enum != nil {
+			if r, ok := v.(string); !ok || !slices.Contains(a.Enum, r) {
+				return fmt.Errorf("arg %q = %v, want one of %s", a.Name, v, strings.Join(a.Enum, "/"))
+			}
+			continue
 		}
 		f, ok := v.(float64)
 		if !ok {
-			return 0, fmt.Errorf("arg %q is %T, want number", key, v)
+			return fmt.Errorf("arg %q is %T, want number", a.Name, v)
 		}
-		if f < min {
-			return 0, fmt.Errorf("arg %q = %v, want >= %v", key, f, min)
+		if f < float64(a.Min) {
+			return fmt.Errorf("arg %q = %v, want >= %d", a.Name, f, a.Min)
 		}
-		return f, nil
 	}
-	switch *e.Name {
-	case "chain":
-		if _, err := num("depth", 1); err != nil {
-			return err
-		}
-		if _, err := num("port", 0); err != nil {
-			return err
-		}
-	case "chain-stop":
-		v, ok := e.Args["reason"]
-		if !ok {
-			return fmt.Errorf("missing arg %q", "reason")
-		}
-		r, ok := v.(string)
-		if !ok || !chainStopReasons[r] {
-			return fmt.Errorf("arg \"reason\" = %v, want one of depth/budget/lock/occupied/halt", v)
-		}
-		if _, err := num("port", 0); err != nil {
-			return err
-		}
-	case "steal":
-		if _, err := num("victim", 0); err != nil {
-			return err
-		}
-		if _, err := num("port", 0); err != nil {
-			return err
-		}
-	case "vm-fuse":
-		if _, err := num("segs", 2); err != nil {
-			return err
-		}
-		if _, err := num("port", 0); err != nil {
-			return err
-		}
-	case "vm-vec", "vm-vec-abort":
-		if _, err := num("rows", 1); err != nil {
-			return err
-		}
-		if _, err := num("port", 0); err != nil {
-			return err
-		}
-	case "admit", "shed", "throttle":
-		if _, err := num("tenant", 0); err != nil {
-			return err
-		}
-		if _, err := num("count", 1); err != nil {
-			return err
-		}
-	case "bp-sample":
-		// port is -1 when every queue was empty at the sample.
-		if _, err := num("port", -1); err != nil {
-			return err
-		}
-		if _, err := num("occ", 0); err != nil {
-			return err
-		}
-	case "flightrec-dump":
-		v, ok := e.Args["reason"]
-		if !ok {
-			return fmt.Errorf("missing arg %q", "reason")
-		}
-		r, ok := v.(string)
-		if !ok || !flightRecReasons[r] {
-			return fmt.Errorf("arg \"reason\" = %v, want a flight-recorder trigger name", v)
-		}
-		if _, err := num("samples", 0); err != nil {
-			return err
-		}
+	if half && n == 0 {
+		return fmt.Errorf("drain instant carries neither port nor tuples")
 	}
 	return nil
 }
@@ -195,7 +122,7 @@ func check(path string, require []string, strict bool) error {
 		if *e.Ph == "M" {
 			continue // metadata records carry no timestamp
 		}
-		if strict && !knownNames[*e.Name] {
+		if _, known := schemas[*e.Name]; strict && !known {
 			return fmt.Errorf("%s: event %d has unknown kind %q (-strict)", path, i, *e.Name)
 		}
 		switch {

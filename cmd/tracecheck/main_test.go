@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +22,8 @@ func writeFile(t *testing.T, name, body string) string {
 func TestCheckValid(t *testing.T) {
 	p := writeFile(t, "ok.json", `{"traceEvents":[
 		{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"x"}},
-		{"name":"drain","ph":"X","ts":1.5,"dur":2.0,"pid":1,"tid":0},
+		{"name":"drain","ph":"X","ts":1.5,"dur":2.0,"pid":1,"tid":0,"args":{"port":4,"tuples":32}},
+		{"name":"drain","ph":"i","ts":4.0,"pid":1,"tid":0,"s":"t","args":{"port":4}},
 		{"name":"steal","ph":"i","ts":3.0,"pid":1,"tid":1,"s":"t","args":{"victim":0,"port":4}}
 	]}`)
 	if err := check(p, []string{"steal", "drain"}, false); err != nil {
@@ -48,6 +50,11 @@ func TestCheckMalformed(t *testing.T) {
 		"no pid":      `{"traceEvents":[{"name":"a","ph":"i","ts":1,"tid":0}]}`,
 		"negative ts": `{"traceEvents":[{"name":"a","ph":"i","ts":-1,"pid":1,"tid":0}]}`,
 		"X no dur":    `{"traceEvents":[{"name":"a","ph":"X","ts":1,"pid":1,"tid":0}]}`,
+
+		// A drain span carries its port and tuple count; a drain instant
+		// (half a pair) at least one of them.
+		"drain no tuples":    `{"traceEvents":[{"name":"drain","ph":"X","ts":1,"dur":1,"pid":1,"tid":0,"args":{"port":2}}]}`,
+		"drain instant bare": `{"traceEvents":[{"name":"drain","ph":"i","ts":1,"pid":1,"tid":0}]}`,
 
 		// Inline-chain instants carry a validated payload: a chain link
 		// needs a 1-based depth, a chain-stop a known fall-back reason.
@@ -169,5 +176,67 @@ func TestCheckStrict(t *testing.T) {
 	err := check(p, nil, true)
 	if err == nil || !strings.Contains(err.Error(), "mystery-event") {
 		t.Fatalf("err = %v, want strict failure naming mystery-event", err)
+	}
+}
+
+// TestCheckRegistrySchema builds one event per trace kind from the
+// registry, with every argument at its least valid value, exports it,
+// and requires -strict to accept it. It then corrupts each exported arg
+// in turn — below its minimum, the wrong JSON type, an unknown reason —
+// and requires every corruption to be rejected, so no kind's args pass
+// unchecked.
+func TestCheckRegistrySchema(t *testing.T) {
+	least := func(a trace.Arg) int64 {
+		if a.Enum != nil {
+			return 0
+		}
+		return a.Min
+	}
+	for _, k := range trace.AllKinds() {
+		var arg int64
+		switch as := k.Args(); len(as) {
+		case 1:
+			arg = least(as[0])
+		case 2:
+			arg = trace.PackPair(int32(least(as[0])), uint32(least(as[1])))
+		}
+		var sb strings.Builder
+		if err := trace.ExportEvents(&sb, []trace.Event{{Kind: k, Arg: arg}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := check(writeFile(t, "ok.json", sb.String()), nil, true); err != nil {
+			t.Errorf("%s: exported event rejected: %v", k, err)
+			continue
+		}
+
+		ev := doc.TraceEvents[len(doc.TraceEvents)-1]
+		args, _ := ev["args"].(map[string]any)
+		if len(args) != len(k.Args()) {
+			t.Errorf("%s: exported %d args, schema has %d", k, len(args), len(k.Args()))
+		}
+		for _, a := range k.Args() {
+			bad := map[string]any{"below minimum": a.Min - 1, "wrong type": "x"}
+			if a.Enum != nil {
+				bad = map[string]any{"wrong type": 0, "unknown reason": "bogus"}
+			}
+			for what, v := range bad {
+				orig := args[a.Name]
+				args[a.Name] = v
+				body, err := json.Marshal(doc)
+				args[a.Name] = orig
+				if err != nil {
+					t.Fatal(err)
+				}
+				if check(writeFile(t, "bad.json", string(body)), nil, true) == nil {
+					t.Errorf("%s: %s %q = %v accepted", k, what, a.Name, v)
+				}
+			}
+		}
 	}
 }

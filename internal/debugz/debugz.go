@@ -31,6 +31,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 	"time"
 
 	"streams/internal/fig"
@@ -177,23 +178,15 @@ func (s Snapshot) WriteText(w io.Writer) {
 	}
 	st := s.Sched
 	fmt.Fprintf(w, "scheduler: reschedules %d, find failures %d\n", st.Reschedules, st.FindFailures)
-	c := st.Contention
-	fmt.Fprintf(w, "free list: push failures %d, pop failures %d, steals %d, steal misses %d, spills %d\n",
-		c.PushFail, c.PopFail, c.Steal, c.StealMiss, c.Spill)
-	if ch := st.Chain; ch != (metrics.ChainSnapshot{}) {
-		fmt.Fprintf(w, "chain: starts %d, links %d, tuples %d, stops depth %d budget %d lock %d occupied %d\n",
-			ch.Starts, ch.Links, ch.Tuples, ch.DepthStops, ch.BudgetStops, ch.LockMisses, ch.Occupied)
+	fmt.Fprintf(w, "free list: %s\n", meterList(st.Contention))
+	if st.Chain != (metrics.ChainSnapshot{}) {
+		fmt.Fprintf(w, "chain: %s\n", meterList(st.Chain))
 	}
-	if v := st.VM; v != (metrics.VMSnapshot{}) {
-		fmt.Fprintf(w, "vm: programs %d, fused runs %d, fused tuples %d, fallbacks %d\n",
-			v.Programs, v.FusedRuns, v.FusedTuples, v.Fallbacks)
-		fmt.Fprintf(w, "vm vec: batches %d, rows %d, scalar fallbacks %d, compute aborts %d\n",
-			v.VecBatches, v.VecRows, v.VecFallbacks, v.VecAborts)
+	if st.VM != (metrics.VMSnapshot{}) {
+		fmt.Fprintf(w, "vm: %s\n", meterList(st.VM))
 	}
-	f := s.Faults
-	if f != (metrics.FaultsSnapshot{}) {
-		fmt.Fprintf(w, "faults: op panics %d, dead letters %d, quarantines %d, watchdog stalls %d\n",
-			f.OpPanics, f.DeadLetters, f.Quarantines, f.WatchdogStalls)
+	if s.Faults != (metrics.FaultsSnapshot{}) {
+		fmt.Fprintf(w, "faults: %s\n", meterList(s.Faults))
 	}
 	if s.LastFault != "" {
 		fmt.Fprintf(w, "last fault: %s\n", s.LastFault)
@@ -219,10 +212,19 @@ func (s Snapshot) WriteText(w io.Writer) {
 	}
 }
 
+// meterList renders a bundle snapshot's meters as "kind n, kind n, …"
+// in declaration order.
+func meterList(snap any) string {
+	var parts []string
+	metrics.Each(snap, func(kind, _ string, v uint64) {
+		parts = append(parts, fmt.Sprintf("%s %d", kind, v))
+	})
+	return strings.Join(parts, ", ")
+}
+
 // writeIngest renders the admission panel: one totals line, one line
 // per tenant.
 func writeIngest(w io.Writer, in ingest.Snapshot) {
-	tot := in.Totals
 	state := ""
 	if in.Overloaded {
 		state = ", OVERLOADED"
@@ -230,8 +232,7 @@ func writeIngest(w io.Writer, in ingest.Snapshot) {
 	if in.Draining {
 		state += ", draining"
 	}
-	fmt.Fprintf(w, "ingest: admitted %d, shed %d, throttled %d, rejected %d, conns %d, evicted %d%s\n",
-		tot.Admitted, tot.Shed, tot.Throttled, tot.Rejected, tot.Conns, tot.Evicted, state)
+	fmt.Fprintf(w, "ingest: %s%s\n", meterList(in.Totals), state)
 	for _, tn := range in.Tenants {
 		class := "besteffort"
 		if tn.Guaranteed {

@@ -150,7 +150,7 @@ func TestWriteTextChainLine(t *testing.T) {
 	s := Snapshot{Model: "dynamic"}
 	s.Sched.Chain = metrics.ChainSnapshot{Starts: 3, Links: 12, Tuples: 384, DepthStops: 2, Occupied: 1}
 	s.WriteText(&with)
-	if !strings.Contains(with.String(), "chain: starts 3, links 12, tuples 384, stops depth 2 budget 0 lock 0 occupied 1") {
+	if !strings.Contains(with.String(), "chain: starts 3, links 12, tuples 384, depth_stops 2, budget_stops 0, lock_misses 0, occupied 1") {
 		t.Fatalf("panel missing chain line:\n%s", with.String())
 	}
 	var without strings.Builder

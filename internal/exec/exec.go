@@ -100,7 +100,7 @@ func New(g *graph.Graph, o Options) *Core {
 		executed:           metrics.NewCounter(o.Shards),
 		sinkDeliver:        metrics.NewCounter(o.Shards),
 		perNode:            make([]atomic.Uint64, len(g.Nodes)),
-		faults:             metrics.NewFaults(o.Shards),
+		faults:             metrics.New[metrics.Faults](o.Shards),
 		strikes:            make([]atomic.Int32, len(g.Nodes)),
 		quarantined:        make([]atomic.Bool, len(g.Nodes)),
 		remainingProducers: make([]atomic.Int32, len(g.Ports)),

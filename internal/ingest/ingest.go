@@ -255,7 +255,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, errors.New("ingest: no tenants configured")
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewIngest(16)
+		cfg.Metrics = metrics.New[metrics.Ingest](16)
 	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 10 * time.Second

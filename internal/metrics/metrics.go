@@ -36,10 +36,10 @@ const shardStride = 16
 // derives a ratio or difference across *several* counters (steals per
 // spill, dead-letters versus delivered) must not call Total on each in
 // sequence: the counters advance between the calls and the ratio comes
-// out torn. Read them through the owning bundle's Snapshot method
-// (Contention.Snapshot, Faults.Snapshot, the scheduler's Stats), which
-// reads the whole set in one pass so the values are mutually consistent
-// to within the increments in flight during that pass.
+// out torn. Read them through the owning bundle's Snapshot method (or
+// the scheduler's Stats), which reads the whole set in one pass so the
+// values are mutually consistent to within the increments in flight
+// during that pass.
 type Counter struct {
 	shards []atomic.Uint64
 	// mask selects a shard from a thread ID with one AND instead of the
@@ -85,10 +85,16 @@ func (c *Counter) Total() uint64 {
 	return t
 }
 
-// Contention bundles the scheduler's free-list contention meters, one
-// sharded Counter per event kind so the measurement itself stays off
-// shared cache lines. The scheduler charges them on its slow paths only
-// (a failed push, a steal, a spill); the hot path pays nothing.
+// The meter bundles. Each is declared once: its live struct of sharded
+// Counters (charged on the typed fields, e.g. chains.Links.Add(tid, 1))
+// beside its snapshot struct, whose fields carry the same names in the
+// same order and the JSON tags every presenter uses as the meter's
+// kind. New, Snapshot and Each (bundle.go) are derived from that pair,
+// so adding a meter is two lines, one in each struct.
+
+// Contention bundles the scheduler's free-list contention meters. The
+// scheduler charges them on its slow paths only (a failed push, a
+// steal, a spill); the hot path pays nothing.
 type Contention struct {
 	// PushFail counts failed pushes to the global free list (a slot in
 	// transit, or — out of an abundance of accounting — a full list).
@@ -104,25 +110,13 @@ type Contention struct {
 	StealMiss *Counter
 	// Spill counts local-shard overflows redirected to the global list.
 	Spill *Counter
+	bundle[ContentionSnapshot]
 }
 
-// NewContention returns a Contention set sized for the given number of
-// executing threads (see NewCounter).
-func NewContention(shards int) *Contention {
-	return &Contention{
-		PushFail:  NewCounter(shards),
-		PopFail:   NewCounter(shards),
-		Steal:     NewCounter(shards),
-		StealMiss: NewCounter(shards),
-		Spill:     NewCounter(shards),
-	}
-}
-
-// ContentionSnapshot is a point-in-time reading of a Contention set,
-// with the same lower-bound semantics as Counter.Total. Readers that
-// present more than one of these values together (panels, the debug
-// endpoint) must take one snapshot and render from it, never mix
-// values from two snapshots.
+// ContentionSnapshot is a point-in-time reading of a Contention set.
+// Readers that present more than one of these values together (panels,
+// the debug endpoint) must take one snapshot and render from it, never
+// mix values from two snapshots.
 type ContentionSnapshot struct {
 	PushFail  uint64 `json:"push_fail"`
 	PopFail   uint64 `json:"pop_fail"`
@@ -131,31 +125,10 @@ type ContentionSnapshot struct {
 	Spill     uint64 `json:"spill"`
 }
 
-// Each calls f once per meter, in declaration order, with the meter's
-// JSON tag as its kind.
-func (s ContentionSnapshot) Each(f func(kind string, v uint64)) {
-	f("push_fail", s.PushFail)
-	f("pop_fail", s.PopFail)
-	f("steal", s.Steal)
-	f("steal_miss", s.StealMiss)
-	f("spill", s.Spill)
-}
-
-// Snapshot sums every meter.
-func (c *Contention) Snapshot() ContentionSnapshot {
-	return ContentionSnapshot{
-		PushFail:  c.PushFail.Total(),
-		PopFail:   c.PopFail.Total(),
-		Steal:     c.Steal.Total(),
-		StealMiss: c.StealMiss.Total(),
-		Spill:     c.Spill.Total(),
-	}
-}
-
-// Faults bundles the runtime's fault-containment meters, one sharded
-// Counter per event kind. Like Contention, these are charged only on
-// slow paths (a recovered panic, a dead-lettered tuple, a watchdog
-// report); the fault-free hot path never touches them.
+// Faults bundles the runtime's fault-containment meters. Like
+// Contention, these are charged only on slow paths (a recovered panic,
+// a dead-lettered tuple, a watchdog report); the fault-free hot path
+// never touches them.
 type Faults struct {
 	// OpPanics counts operator panics recovered by the containment layer
 	// (injected panics included).
@@ -171,21 +144,10 @@ type Faults struct {
 	// WatchdogStalls counts watchdog reports of a scheduler thread stuck
 	// in operator code past the stall threshold.
 	WatchdogStalls *Counter
+	bundle[FaultsSnapshot]
 }
 
-// NewFaults returns a Faults set sized for the given number of executing
-// threads (see NewCounter).
-func NewFaults(shards int) *Faults {
-	return &Faults{
-		OpPanics:       NewCounter(shards),
-		DeadLetters:    NewCounter(shards),
-		Quarantines:    NewCounter(shards),
-		WatchdogStalls: NewCounter(shards),
-	}
-}
-
-// FaultsSnapshot is a point-in-time reading of a Faults set, with the
-// same lower-bound semantics as Counter.Total.
+// FaultsSnapshot is a point-in-time reading of a Faults set.
 type FaultsSnapshot struct {
 	OpPanics       uint64 `json:"op_panics"`
 	DeadLetters    uint64 `json:"dead_letters"`
@@ -193,30 +155,11 @@ type FaultsSnapshot struct {
 	WatchdogStalls uint64 `json:"watchdog_stalls"`
 }
 
-// Each calls f once per meter, in declaration order, with the meter's
-// JSON tag as its kind.
-func (s FaultsSnapshot) Each(f func(kind string, v uint64)) {
-	f("op_panics", s.OpPanics)
-	f("dead_letters", s.DeadLetters)
-	f("quarantines", s.Quarantines)
-	f("watchdog_stalls", s.WatchdogStalls)
-}
-
-// Snapshot sums every meter.
-func (f *Faults) Snapshot() FaultsSnapshot {
-	return FaultsSnapshot{
-		OpPanics:       f.OpPanics.Total(),
-		DeadLetters:    f.DeadLetters.Total(),
-		Quarantines:    f.Quarantines.Total(),
-		WatchdogStalls: f.WatchdogStalls.Total(),
-	}
-}
-
-// Chain bundles the scheduler's inline chain-execution meters, one
-// sharded Counter per event kind. Links and Tuples are charged once per
-// chained link (a batch, not a tuple), so even a run that chains every
-// flush pays two uncontended atomic adds per batch; the stop meters are
-// charged only when a chain attempt declines.
+// Chain bundles the scheduler's inline chain-execution meters. Links
+// and Tuples are charged once per chained link (a batch, not a tuple),
+// so even a run that chains every flush pays two uncontended atomic
+// adds per batch; the stop meters are charged only when a chain attempt
+// declines.
 type Chain struct {
 	// Starts counts chain sequences entered from an unchained execution
 	// frame (a root drain). Links/Starts is the mean chain length.
@@ -240,24 +183,10 @@ type Chain struct {
 	// queue held tuples (chaining ahead of them would break per-stream
 	// FIFO).
 	Occupied *Counter
+	bundle[ChainSnapshot]
 }
 
-// NewChain returns a Chain set sized for the given number of executing
-// threads (see NewCounter).
-func NewChain(shards int) *Chain {
-	return &Chain{
-		Starts:      NewCounter(shards),
-		Links:       NewCounter(shards),
-		Tuples:      NewCounter(shards),
-		DepthStops:  NewCounter(shards),
-		BudgetStops: NewCounter(shards),
-		LockMisses:  NewCounter(shards),
-		Occupied:    NewCounter(shards),
-	}
-}
-
-// ChainSnapshot is a point-in-time reading of a Chain set, with the
-// same lower-bound semantics as Counter.Total.
+// ChainSnapshot is a point-in-time reading of a Chain set.
 type ChainSnapshot struct {
 	Starts      uint64 `json:"starts"`
 	Links       uint64 `json:"links"`
@@ -266,31 +195,6 @@ type ChainSnapshot struct {
 	BudgetStops uint64 `json:"budget_stops"`
 	LockMisses  uint64 `json:"lock_misses"`
 	Occupied    uint64 `json:"occupied"`
-}
-
-// Each calls f once per meter, in declaration order, with the meter's
-// JSON tag as its kind.
-func (s ChainSnapshot) Each(f func(kind string, v uint64)) {
-	f("starts", s.Starts)
-	f("links", s.Links)
-	f("tuples", s.Tuples)
-	f("depth_stops", s.DepthStops)
-	f("budget_stops", s.BudgetStops)
-	f("lock_misses", s.LockMisses)
-	f("occupied", s.Occupied)
-}
-
-// Snapshot sums every meter.
-func (c *Chain) Snapshot() ChainSnapshot {
-	return ChainSnapshot{
-		Starts:      c.Starts.Total(),
-		Links:       c.Links.Total(),
-		Tuples:      c.Tuples.Total(),
-		DepthStops:  c.DepthStops.Total(),
-		BudgetStops: c.BudgetStops.Total(),
-		LockMisses:  c.LockMisses.Total(),
-		Occupied:    c.Occupied.Total(),
-	}
 }
 
 // VM bundles the bytecode-dispatch meters: how many operators compiled
@@ -326,25 +230,10 @@ type VM struct {
 	// per-batch fault shows here, distinct from the benign "program
 	// declined vectorization" fall-backs.
 	VecAborts *Counter
+	bundle[VMSnapshot]
 }
 
-// NewVM returns a VM meter set sized for the given number of executing
-// threads (see NewCounter).
-func NewVM(shards int) *VM {
-	return &VM{
-		Programs:     NewCounter(shards),
-		FusedRuns:    NewCounter(shards),
-		FusedTuples:  NewCounter(shards),
-		Fallbacks:    NewCounter(shards),
-		VecBatches:   NewCounter(shards),
-		VecRows:      NewCounter(shards),
-		VecFallbacks: NewCounter(shards),
-		VecAborts:    NewCounter(shards),
-	}
-}
-
-// VMSnapshot is a point-in-time reading of a VM set, with the same
-// lower-bound semantics as Counter.Total.
+// VMSnapshot is a point-in-time reading of a VM set.
 type VMSnapshot struct {
 	Programs     uint64 `json:"programs"`
 	FusedRuns    uint64 `json:"fused_runs"`
@@ -354,33 +243,6 @@ type VMSnapshot struct {
 	VecRows      uint64 `json:"vec_rows"`
 	VecFallbacks uint64 `json:"vec_fallbacks"`
 	VecAborts    uint64 `json:"vec_aborts"`
-}
-
-// Each calls f once per meter, in declaration order, with the meter's
-// JSON tag as its kind.
-func (s VMSnapshot) Each(f func(kind string, v uint64)) {
-	f("programs", s.Programs)
-	f("fused_runs", s.FusedRuns)
-	f("fused_tuples", s.FusedTuples)
-	f("fallbacks", s.Fallbacks)
-	f("vec_batches", s.VecBatches)
-	f("vec_rows", s.VecRows)
-	f("vec_fallbacks", s.VecFallbacks)
-	f("vec_aborts", s.VecAborts)
-}
-
-// Snapshot sums every meter.
-func (v *VM) Snapshot() VMSnapshot {
-	return VMSnapshot{
-		Programs:     v.Programs.Total(),
-		FusedRuns:    v.FusedRuns.Total(),
-		FusedTuples:  v.FusedTuples.Total(),
-		Fallbacks:    v.Fallbacks.Total(),
-		VecBatches:   v.VecBatches.Total(),
-		VecRows:      v.VecRows.Total(),
-		VecFallbacks: v.VecFallbacks.Total(),
-		VecAborts:    v.VecAborts.Total(),
-	}
 }
 
 // Ingest bundles the admission-control meters for the network front
@@ -404,42 +266,19 @@ type Ingest struct {
 	// Evicted counts connections closed by the idle/slow-client
 	// evictor rather than by the client.
 	Evicted *Counter
+	bundle[IngestSnapshot]
 }
 
-// NewIngest returns an Ingest meter set sized for the given number of
-// concurrently-counting threads (see NewCounter).
-func NewIngest(shards int) *Ingest {
-	return &Ingest{
-		Admitted:  NewCounter(shards),
-		Shed:      NewCounter(shards),
-		Throttled: NewCounter(shards),
-		Rejected:  NewCounter(shards),
-		Conns:     NewCounter(shards),
-		Evicted:   NewCounter(shards),
-	}
-}
-
-// IngestSnapshot is a point-in-time reading of an Ingest set, with the
-// same lower-bound semantics as Counter.Total.
+// IngestSnapshot is a point-in-time reading of an Ingest set. The
+// connection events count connections, not tuples, so they carry their
+// own group.
 type IngestSnapshot struct {
 	Admitted  uint64 `json:"admitted"`
 	Shed      uint64 `json:"shed"`
 	Throttled uint64 `json:"throttled"`
 	Rejected  uint64 `json:"rejected"`
-	Conns     uint64 `json:"conns"`
-	Evicted   uint64 `json:"evicted"`
-}
-
-// Snapshot sums every meter.
-func (g *Ingest) Snapshot() IngestSnapshot {
-	return IngestSnapshot{
-		Admitted:  g.Admitted.Total(),
-		Shed:      g.Shed.Total(),
-		Throttled: g.Throttled.Total(),
-		Rejected:  g.Rejected.Total(),
-		Conns:     g.Conns.Total(),
-		Evicted:   g.Evicted.Total(),
-	}
+	Conns     uint64 `json:"conns" group:"conn_events"`
+	Evicted   uint64 `json:"evicted" group:"conn_events"`
 }
 
 // Welford accumulates streaming mean and standard deviation (Welford's

@@ -131,7 +131,7 @@ func TestWelfordMeanProperty(t *testing.T) {
 }
 
 func TestContentionSnapshot(t *testing.T) {
-	c := NewContention(4)
+	c := New[Contention](4)
 	c.PushFail.Add(0, 3)
 	c.PushFail.Add(2, 1)
 	c.PopFail.Add(1, 7)

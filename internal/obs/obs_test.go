@@ -154,7 +154,7 @@ func TestAttributeFreeListPressure(t *testing.T) {
 // buildSkewedPE runs an open-loop pipeline with one deliberately slow
 // stage: Src → Fast → Slow → Fast2 → Snk, chaining disabled so the
 // queues carry the real occupancy signal.
-func buildSkewedPE(t *testing.T, slowCost int) *pe.PE {
+func buildSkewedPE(t testing.TB, slowCost int) *pe.PE {
 	t.Helper()
 	b := graph.NewBuilder()
 	src := b.AddNode(&ops.Generator{}, 0, 1)
@@ -249,61 +249,108 @@ func TestCollectorStartStop(t *testing.T) {
 	}
 }
 
-func TestWriteMetricsParses(t *testing.T) {
+// liveExposition renders /metricz for a running pipeline with latency
+// and an ingest front end attached, so every family is present.
+func liveExposition(t testing.TB) []byte {
+	t.Helper()
 	p := buildSkewedPE(t, 1)
 	lat := metrics.NewHistogram(2)
 	lat.Record(0, time.Millisecond)
-	c := New(Options{PE: p, Latency: lat, Workload: "metricz"})
+	ing, err := ingest.NewServer(ingest.Config{
+		Tenants: []ingest.TenantConfig{{Name: "gold", Policy: ingest.Block}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ing.Close() })
+	c := New(Options{PE: p, Latency: lat, Ingest: ing, Workload: "metricz"})
 	var buf bytes.Buffer
 	if err := c.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParseExposition(bytes.NewReader(buf.Bytes()))
+	p.Stop() // the pipeline is unbounded; stop it before a fuzz run
+	return buf.Bytes()
+}
+
+func TestWriteMetricsParses(t *testing.T) {
+	out := liveExposition(t)
+	fams, err := ParseExposition(bytes.NewReader(out))
 	if err != nil {
-		t.Fatalf("own exposition does not parse: %v\n%s", err, buf.String())
+		t.Fatalf("own exposition does not parse: %v\n%s", err, out)
 	}
 	for _, want := range []string{
 		"streams_executed", "streams_sink_delivered", "streams_contention",
 		"streams_faults", "streams_backlog", "streams_edge_depth",
 		"streams_edge_resched", "streams_edge_blocked_seconds",
-		"streams_latency_seconds",
+		"streams_latency_seconds", "streams_ingest", "streams_tenant",
 	} {
 		if _, ok := fams[want]; !ok {
 			t.Errorf("family %q missing from exposition", want)
 		}
 	}
-	// Every meter of the four scheduler snapshot types is a kind= sample
-	// of its family: a field added to a snapshot without its Each line
-	// fails here instead of staying invisible to scrapers.
+	// Every meter of every bundle snapshot is a sample of its family: a
+	// field added to a snapshot that a presenter does not render fails
+	// here instead of staying invisible to scrapers.
 	for fam, snap := range map[string]any{
 		"streams_contention": metrics.ContentionSnapshot{},
 		"streams_faults":     metrics.FaultsSnapshot{},
 		"streams_chain":      metrics.ChainSnapshot{},
 		"streams_vm":         metrics.VMSnapshot{},
+		"streams_ingest":     metrics.IngestSnapshot{},
 	} {
 		rt := reflect.TypeOf(snap)
 		for i := 0; i < rt.NumField(); i++ {
-			sample := fmt.Sprintf("%s_total{kind=%q} ", fam, rt.Field(i).Tag.Get("json"))
-			if !strings.Contains(buf.String(), sample) {
-				t.Errorf("%s.%s has no /metricz sample %s", rt.Name(), rt.Field(i).Name, sample)
+			f := rt.Field(i)
+			pattern := fmt.Sprintf("%s_total{kind=%q} ", fam, f.Tag.Get("json"))
+			switch g := f.Tag.Get("group"); {
+			case g != "":
+				pattern = fmt.Sprintf("%s_%s_total{kind=%q} ", fam, g, f.Tag.Get("json"))
+			case fam == "streams_ingest":
+				pattern = fmt.Sprintf("%s_total{disposition=%q} ", fam, f.Tag.Get("json"))
+			}
+			if !bytes.Contains(out, []byte(pattern)) {
+				t.Errorf("%s.%s has no /metricz sample %s", rt.Name(), f.Name, pattern)
 			}
 		}
 	}
 }
 
-func TestParseExpositionRejects(t *testing.T) {
-	bad := map[string]string{
-		"no EOF":          "# TYPE a counter\na_total 1\n",
-		"blank line":      "# TYPE a counter\n\na_total 1\n# EOF\n",
-		"after EOF":       "# TYPE a counter\na_total 1\n# EOF\na_total 2\n",
-		"bare counter":    "# TYPE a counter\na 1\n# EOF\n",
-		"bad value":       "# TYPE a gauge\na x\n# EOF\n",
-		"dup TYPE":        "# TYPE a gauge\n# TYPE a gauge\na 1\n# EOF\n",
-		"unknown type":    "# TYPE a widget\na 1\n# EOF\n",
-		"unclosed label":  "# TYPE a gauge\na{x=\"1 2\n# EOF\n",
-		"undeclared name": "# TYPE a gauge\nb 1\n# EOF\n",
+// FuzzParseExposition: the strict parser returns families or an error
+// for any input and never panics, and it accepts every exposition
+// WriteMetrics produces (the live seed). The malformed inputs the
+// parser must reject seed the corpus too.
+func FuzzParseExposition(f *testing.F) {
+	live := liveExposition(f)
+	if _, err := ParseExposition(bytes.NewReader(live)); err != nil {
+		f.Fatalf("live exposition rejected: %v", err)
 	}
-	for label, body := range bad {
+	f.Add(live)
+	for _, seed := range badExpositions {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fams, err := ParseExposition(bytes.NewReader(data))
+		if (err == nil) == (fams == nil) {
+			t.Fatalf("ParseExposition returned families %v and error %v", fams, err)
+		}
+	})
+}
+
+// badExpositions are malformed inputs the strict parser must reject.
+var badExpositions = map[string]string{
+	"no EOF":          "# TYPE a counter\na_total 1\n",
+	"blank line":      "# TYPE a counter\n\na_total 1\n# EOF\n",
+	"after EOF":       "# TYPE a counter\na_total 1\n# EOF\na_total 2\n",
+	"bare counter":    "# TYPE a counter\na 1\n# EOF\n",
+	"bad value":       "# TYPE a gauge\na x\n# EOF\n",
+	"dup TYPE":        "# TYPE a gauge\n# TYPE a gauge\na 1\n# EOF\n",
+	"unknown type":    "# TYPE a widget\na 1\n# EOF\n",
+	"unclosed label":  "# TYPE a gauge\na{x=\"1 2\n# EOF\n",
+	"undeclared name": "# TYPE a gauge\nb 1\n# EOF\n",
+}
+
+func TestParseExpositionRejects(t *testing.T) {
+	for label, body := range badExpositions {
 		if _, err := ParseExposition(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: parser accepted malformed exposition", label)
 		}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"streams/internal/metrics"
 )
 
 // ContentType is the OpenMetrics text exposition media type /metricz
@@ -34,6 +36,18 @@ func (m *mw) family(name, typ, help string) {
 	}
 }
 
+// meters renders one counter family from the meters of a bundle
+// snapshot in the given group, one sample per meter, labelled with its
+// kind.
+func (m *mw) meters(name, help, label string, snap any, group string) {
+	m.family(name, "counter", help)
+	metrics.Each(snap, func(kind, g string, v uint64) {
+		if g == group {
+			m.line("%s_total{%s=\"%s\"} %d\n", name, label, kind, v)
+		}
+	})
+}
+
 // escapeLabel escapes a label value per the exposition format.
 func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
@@ -44,9 +58,10 @@ func escapeLabel(v string) string {
 
 // WriteMetrics renders the newest sample as an OpenMetrics text
 // exposition — every scheduler counter, the elastic level gauge, the
-// per-edge flow series, latency quantiles, and the per-tenant ingest
-// dispositions — terminated by the mandatory # EOF. If no sample has
-// been taken yet it takes one, so a fresh /metricz scrape works.
+// per-edge flow series, latency quantiles, and the ingest meters and
+// per-tenant dispositions — terminated by the mandatory # EOF. If no
+// sample has been taken yet it takes one, so a fresh /metricz scrape
+// works.
 func (c *Collector) WriteMetrics(w io.Writer) error {
 	c.mu.Lock()
 	var s Sample
@@ -68,20 +83,10 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	m.family("streams_find_failures", "counter", "Work searches that came up empty.")
 	m.line("streams_find_failures_total %d\n", s.Sched.FindFailures)
 
-	for _, fam := range []struct {
-		name, help string
-		each       func(func(kind string, v uint64))
-	}{
-		{"streams_contention", "Free-structure contention events by kind.", s.Sched.Contention.Each},
-		{"streams_faults", "Fault-containment events by kind.", s.Sched.Faults.Each},
-		{"streams_chain", "Inline chain execution meters.", s.Sched.Chain.Each},
-		{"streams_vm", "Fused bytecode dispatch meters.", s.Sched.VM.Each},
-	} {
-		m.family(fam.name, "counter", fam.help)
-		fam.each(func(kind string, v uint64) {
-			m.line("%s_total{kind=\"%s\"} %d\n", fam.name, kind, v)
-		})
-	}
+	m.meters("streams_contention", "Free-structure contention events by kind.", "kind", s.Sched.Contention, "")
+	m.meters("streams_faults", "Fault-containment events by kind.", "kind", s.Sched.Faults, "")
+	m.meters("streams_chain", "Inline chain execution meters.", "kind", s.Sched.Chain, "")
+	m.meters("streams_vm", "Fused bytecode dispatch meters.", "kind", s.Sched.VM, "")
 
 	m.family("streams_level", "gauge", "Elastic thread level.")
 	m.line("streams_level %d\n", s.Level)
@@ -120,17 +125,8 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	}
 
 	if s.Ingest != nil {
-		m.family("streams_ingest", "counter", "Ingest admission dispositions.")
-		tot := s.Ingest.Totals
-		for _, kv := range []struct {
-			k string
-			v uint64
-		}{
-			{"admitted", tot.Admitted}, {"shed", tot.Shed},
-			{"throttled", tot.Throttled}, {"rejected", tot.Rejected},
-		} {
-			m.line("streams_ingest_total{disposition=\"%s\"} %d\n", kv.k, kv.v)
-		}
+		m.meters("streams_ingest", "Ingest admission dispositions.", "disposition", s.Ingest.Totals, "")
+		m.meters("streams_ingest_conn_events", "Ingest connection events by kind.", "kind", s.Ingest.Totals, "conn_events")
 		m.family("streams_ingest_overloaded", "gauge", "Whether the global overload gate is tripped.")
 		ov := 0
 		if s.Ingest.Overloaded {

@@ -490,50 +490,20 @@ func (pe *PE) SinkDelivered() uint64 { return pe.core.SinkDelivered() }
 // overload signal for admission control, not an accounting value.
 func (pe *PE) Backlog() int { return pe.runner.backlog() }
 
-// SchedStats bundles the dynamic scheduler's slow-path meters: how often
-// threads fell into self-help (reschedules), came up empty from a work
-// search (find failures), and hit free-structure contention events.
-type SchedStats struct {
-	// Reschedules counts full-queue pushes that fell into the reSchedule
-	// self-help path.
-	Reschedules uint64 `json:"reschedules"`
-	// FindFailures counts findWorkNonBlocking calls that found no work.
-	FindFailures uint64 `json:"find_failures"`
-	// Contention snapshots the free-list meters: global push/pop
-	// failures, shard steals and misses, and shard overflow spills.
-	Contention metrics.ContentionSnapshot `json:"contention"`
-	// Faults snapshots the fault-containment meters: recovered operator
-	// panics, dead-lettered tuples, quarantines and watchdog reports.
-	Faults metrics.FaultsSnapshot `json:"faults"`
-	// Chain snapshots the inline chain-execution meters: sequences
-	// started, links and tuples that bypassed the queues, and the
-	// fall-back reasons (depth, budget, lock, occupied).
-	Chain metrics.ChainSnapshot `json:"chain"`
-	// VM snapshots the fused bytecode-dispatch meters: operator
-	// programs installed, chain batches run as one fused program, the
-	// tuple volume through fused loops, and per-operator fall-backs.
-	VM metrics.VMSnapshot `json:"vm"`
-}
+// SchedStats is the dynamic scheduler's single-pass meter snapshot
+// (see sched.Stats).
+type SchedStats = sched.Stats
 
 // SchedStats returns the dynamic scheduler's slow-path meters (zero
-// under the manual and dedicated models, which have no scheduler). It
-// reads the scheduler's single-pass Stats snapshot, so the values are
-// mutually consistent — the one code path every presenter (the
-// streamsim panel, the debug endpoint) goes through.
+// under the manual and dedicated models, which have no scheduler) — the
+// one code path every presenter (the streamsim panel, the debug
+// endpoint) goes through.
 func (pe *PE) SchedStats() SchedStats {
 	d, ok := pe.runner.(*dynamicRunner)
 	if !ok {
 		return SchedStats{}
 	}
-	st := d.s.Stats()
-	return SchedStats{
-		Reschedules:  st.Reschedules,
-		FindFailures: st.FindFailures,
-		Contention:   st.Contention,
-		Faults:       st.Faults,
-		Chain:        st.Chain,
-		VM:           st.VM,
-	}
+	return d.s.Stats()
 }
 
 // FaultStats snapshots the fault-containment meters.

@@ -470,7 +470,7 @@ func TestFusedAtDequeueWhenSourceOutruns(t *testing.T) {
 				t.Errorf("fused share of programmed executions = %.3f, want >= 0.5 (%d of %d ran Process; VM %+v)",
 					frac, perOp, n*depth, v)
 			}
-			if ds := s.Chains().DepthStops; ds != 0 {
+			if ds := s.Stats().Chain.DepthStops; ds != 0 {
 				t.Errorf("DepthStops = %d on a pipeline shorter than ChainDepth", ds)
 			}
 		})
@@ -518,7 +518,7 @@ func TestFusedMixedDrainKeepsOrder(t *testing.T) {
 			if name == "queue-full" && s.Reschedules() == 0 {
 				t.Error("capacity-8 queues never pushed anyone into reSchedule")
 			}
-			if ds := s.Chains().DepthStops; ds != 0 {
+			if ds := s.Stats().Chain.DepthStops; ds != 0 {
 				t.Errorf("DepthStops = %d: a reSchedule frame's fused tail must stay a never-chains frame", ds)
 			}
 		})
@@ -558,7 +558,7 @@ func TestFusedOnSourceThreadSelfHelp(t *testing.T) {
 	if got, want := s.Executed(), uint64(n*(depth+1)); got != want {
 		t.Errorf("Executed = %d, want %d", got, want)
 	}
-	if ds := s.Chains().DepthStops; ds != 0 {
+	if ds := s.Stats().Chain.DepthStops; ds != 0 {
 		t.Errorf("DepthStops = %d, want 0", ds)
 	}
 }

@@ -365,14 +365,14 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		started:       make([]bool, cfg.MaxThreads),
 		reschedules:   metrics.NewCounter(writers),
 		findFails:     metrics.NewCounter(writers),
-		contention:    metrics.NewContention(writers),
+		contention:    metrics.New[metrics.Contention](writers),
 		portResched:   make([]atomic.Uint64, nPorts),
 		portBlockedNs: make([]atomic.Uint64, nPorts),
 		chainable:     make([]bool, nPorts),
 		chainDepth:    cfg.ChainDepth,
 		chainBudget0:  cfg.ChainDepth * batchCap,
-		chains:        metrics.NewChain(writers),
-		vms:           metrics.NewVM(writers),
+		chains:        metrics.New[metrics.Chain](writers),
+		vms:           metrics.New[metrics.VM](writers),
 		inj:           cfg.Fault,
 		tr:            cfg.Tracer,
 		watchdogStop:  make(chan struct{}),
@@ -471,53 +471,39 @@ func (s *Scheduler) Reschedules() uint64 { return s.reschedules.Total() }
 // FindFailures returns how many findWorkNonBlocking calls found nothing.
 func (s *Scheduler) FindFailures() uint64 { return s.findFails.Total() }
 
-// Contention returns a snapshot of the free-list contention meters:
-// global push/pop failures, shard steals and steal misses, and shard
-// overflow spills. All zero except PushFail/PopFail under the
-// GlobalFreeList and FreeListLIFO ablations.
-func (s *Scheduler) Contention() metrics.ContentionSnapshot { return s.contention.Snapshot() }
-
-// Chains returns a snapshot of the inline chain-execution meters:
-// chain starts, links and tuples moved without a queue hand-off, and
-// the per-reason fallback counts. All zero under DisableChain.
-func (s *Scheduler) Chains() metrics.ChainSnapshot { return s.chains.Snapshot() }
-
-// Stats is a single-pass snapshot of every scheduler meter. Panels and
-// endpoints that present more than one of these values together must
-// read them through Stats rather than through the individual accessors
-// in sequence: the counters advance between separate calls, so derived
-// ratios (dead-letters versus delivered, steals per find) would come
-// out torn.
+// Stats is a single-pass snapshot of the scheduler's slow-path meters:
+// how often threads fell into self-help (reschedules), came up empty
+// from a work search (find failures), and the contention, fault, chain
+// and VM bundles. Panels and endpoints that present more than one of
+// these values together must read them through Stats rather than
+// through the individual accessors in sequence: the counters advance
+// between separate calls, so derived ratios (dead-letters versus
+// delivered, steals per find) would come out torn. The JSON tags are
+// the /debugz/stats wire shape.
 type Stats struct {
-	// Executed counts tuples processed across all operators.
-	Executed uint64
-	// SinkDelivered counts tuples delivered to operators with no outputs.
-	SinkDelivered uint64
 	// Reschedules counts full-queue pushes that fell into self-help.
-	Reschedules uint64
+	Reschedules uint64 `json:"reschedules"`
 	// FindFailures counts work searches that came up empty.
-	FindFailures uint64
+	FindFailures uint64 `json:"find_failures"`
 	// Contention snapshots the free-structure meters.
-	Contention metrics.ContentionSnapshot
+	Contention metrics.ContentionSnapshot `json:"contention"`
 	// Faults snapshots the fault-containment meters.
-	Faults metrics.FaultsSnapshot
+	Faults metrics.FaultsSnapshot `json:"faults"`
 	// Chain snapshots the inline chain-execution meters.
-	Chain metrics.ChainSnapshot
+	Chain metrics.ChainSnapshot `json:"chain"`
 	// VM snapshots the fused bytecode-dispatch meters.
-	VM metrics.VMSnapshot
+	VM metrics.VMSnapshot `json:"vm"`
 }
 
 // Stats reads every meter in one pass (see the Stats type's contract).
 func (s *Scheduler) Stats() Stats {
 	return Stats{
-		Executed:      s.Executed(),
-		SinkDelivered: s.SinkDelivered(),
-		Reschedules:   s.reschedules.Total(),
-		FindFailures:  s.findFails.Total(),
-		Contention:    s.contention.Snapshot(),
-		Faults:        s.Faults(),
-		Chain:         s.chains.Snapshot(),
-		VM:            s.vms.Snapshot(),
+		Reschedules:  s.reschedules.Total(),
+		FindFailures: s.findFails.Total(),
+		Contention:   s.contention.Snapshot(),
+		Faults:       s.Faults(),
+		Chain:        s.chains.Snapshot(),
+		VM:           s.vms.Snapshot(),
 	}
 }
 

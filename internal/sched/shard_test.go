@@ -94,7 +94,7 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	if got, want := s.Executed(), uint64(n*3); got != want {
 		t.Fatalf("Executed = %d, want %d", got, want)
 	}
-	cont := s.Contention()
+	cont := s.Stats().Contention
 	if cont.Spill == 0 {
 		t.Errorf("ShardCap 4 on %d ports produced no spills; spill path untested", len(g.Ports))
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"time"
 )
 
@@ -10,7 +11,7 @@ import (
 // or https://ui.perfetto.dev to see the run on a timeline. Each ring
 // becomes one named thread row; acquire/release and park/unpark pairs
 // become complete ("X") duration events, everything else an instant
-// ("i"). Timestamps are microseconds (the format's unit) with
+// ("i") whose args are decoded from the kind's registry schema. Timestamps are microseconds (the format's unit) with
 // sub-microsecond precision kept as fractions.
 
 // teEvent is one trace_event record. Only the fields the viewers read
@@ -81,38 +82,39 @@ func writeTraceEvents(w io.Writer, events []Event, labels []string) error {
 	}
 	acq := map[int]pending{}
 	park := map[int]pending{}
-	flush := func(p pending, name string, args map[string]any) {
-		// An unpaired begin (snapshot cut mid-drain): emit as instant.
+	// instant emits one event as an instant named name, its args decoded
+	// by its kind's schema. Half of an unpaired drain or park (a snapshot
+	// cut mid-drain, or a begin lost to ring wrap) is emitted this way.
+	instant := func(e Event, name string) {
 		out.TraceEvents = append(out.TraceEvents, teEvent{
-			Name: name, Phase: "i", TS: usec(p.ev.TS), PID: tracePID, TID: p.ev.Ring, Scope: "t", Args: args,
+			Name: name, Phase: "i", TS: usec(e.TS), PID: tracePID, TID: e.Ring, Scope: "t",
+			Args: e.Kind.exportArgs(e.Arg),
 		})
 	}
 	for _, e := range events {
 		switch e.Kind {
 		case KindAcquire:
 			if p := acq[e.Ring]; p.ok {
-				flush(p, "drain", map[string]any{"port": p.ev.Arg})
+				instant(p.ev, "drain")
 			}
 			acq[e.Ring] = pending{ok: true, ev: e}
 		case KindRelease:
 			if p := acq[e.Ring]; p.ok {
 				delete(acq, e.Ring)
+				args := p.ev.Kind.exportArgs(p.ev.Arg)
+				maps.Copy(args, e.Kind.exportArgs(e.Arg))
 				out.TraceEvents = append(out.TraceEvents, teEvent{
 					Name: "drain", Phase: "X", TS: usec(p.ev.TS), Dur: usec(e.TS - p.ev.TS),
-					PID: tracePID, TID: e.Ring,
-					Args: map[string]any{"port": p.ev.Arg, "tuples": e.Arg},
+					PID: tracePID, TID: e.Ring, Args: args,
 				})
 			} else {
 				// Acquire lost to ring wrap: keep the release as an instant
 				// so the drain still shows up.
-				out.TraceEvents = append(out.TraceEvents, teEvent{
-					Name: "drain", Phase: "i", TS: usec(e.TS), PID: tracePID, TID: e.Ring, Scope: "t",
-					Args: map[string]any{"tuples": e.Arg},
-				})
+				instant(e, "drain")
 			}
 		case KindPark:
 			if p := park[e.Ring]; p.ok {
-				flush(p, "park", nil)
+				instant(p.ev, "park")
 			}
 			park[e.Ring] = pending{ok: true, ev: e}
 		case KindUnpark:
@@ -123,78 +125,20 @@ func writeTraceEvents(w io.Writer, events []Event, labels []string) error {
 					PID: tracePID, TID: e.Ring,
 				})
 			} else {
-				out.TraceEvents = append(out.TraceEvents, teEvent{
-					Name: "park", Phase: "i", TS: usec(e.TS), PID: tracePID, TID: e.Ring, Scope: "t",
-				})
+				instant(e, "park")
 			}
-		case KindSteal:
-			victim, port := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"victim": victim, "port": port,
-			}))
-		case KindElastic:
-			level, thput := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"level": level, "throughput": thput,
-			}))
-		case KindChain:
-			depth, port := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"depth": depth, "port": port,
-			}))
-		case KindChainStop:
-			reason, port := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"reason": ChainStopReason(reason), "port": port,
-			}))
-		case KindVMFuse:
-			segs, port := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"segs": segs, "port": port,
-			}))
-		case KindVMVec, KindVMVecAbort:
-			rows, port := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"rows": rows, "port": port,
-			}))
-		case KindAdmit, KindShed, KindThrottle:
-			tenant, count := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"tenant": tenant, "count": count,
-			}))
-		case KindBPSample:
-			port, occ := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"port": port, "occ": occ,
-			}))
-		case KindFlightRec:
-			reason, samples := UnpackPair(e.Arg)
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{
-				"reason": FlightRecReason(reason), "samples": samples,
-			}))
-		case KindSpill, KindResched:
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{"port": e.Arg}))
-		case KindQuarantine:
-			out.TraceEvents = append(out.TraceEvents, instant(e, map[string]any{"node": e.Arg}))
 		default:
-			out.TraceEvents = append(out.TraceEvents, instant(e, nil))
+			instant(e, e.Kind.String())
 		}
 	}
 	for _, p := range acq {
-		flush(p, "drain", map[string]any{"port": p.ev.Arg})
+		instant(p.ev, "drain")
 	}
 	for _, p := range park {
-		flush(p, "park", nil)
+		instant(p.ev, "park")
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-func instant(e Event, args map[string]any) teEvent {
-	return teEvent{
-		Name: e.Kind.String(), Phase: "i", TS: usec(e.TS),
-		PID: tracePID, TID: e.Ring, Scope: "t", Args: args,
-	}
 }
 
 // Kinds tallies an event list by kind name — the smoke test's "≥4 event

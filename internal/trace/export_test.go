@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -142,5 +144,66 @@ func TestKindsTally(t *testing.T) {
 	got := Kinds(events)
 	if got["steal"] != 2 || got["park"] != 1 {
 		t.Fatalf("tally = %v", got)
+	}
+}
+
+// TestKindRegistry walks every kind: its name is non-empty and unique,
+// and a lone event of the kind exports exactly the args its schema
+// declares, decoded from the packed word (a lone acquire or release
+// exports as a drain instant, a lone park or unpark as a park instant).
+func TestKindRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, k := range AllKinds() {
+		name := k.String()
+		if name == "" || name == fmt.Sprintf("Kind(%d)", k) || seen[name] {
+			t.Fatalf("kind %d: name %q is empty, a fallback or a duplicate", k, name)
+		}
+		seen[name] = true
+
+		schema := k.Args()
+		arg, want := int64(5), map[string]any{}
+		switch len(schema) {
+		case 1:
+			want[schema[0].Name] = 5.0
+		case 2:
+			arg = PackPair(3, 7)
+			want[schema[0].Name] = 3.0
+			if e := schema[0].Enum; e != nil {
+				want[schema[0].Name] = e[3]
+			}
+			want[schema[1].Name] = 7.0
+		}
+		var buf bytes.Buffer
+		if err := ExportEvents(&buf, []Event{{Kind: k, Arg: arg}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		evs := decodeTE(t, buf.Bytes())["traceEvents"].([]any)
+		e := evs[len(evs)-1].(map[string]any)
+		got, _ := e["args"].(map[string]any)
+		if got == nil {
+			got = map[string]any{}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: exported args %v, want %v", name, got, want)
+		}
+	}
+	if got := Kind(200).String(); got != "Kind(200)" {
+		t.Errorf("unknown kind prints %q", got)
+	}
+}
+
+func TestReasonNamesAreStable(t *testing.T) {
+	for code, want := range []string{"depth", "budget", "lock", "occupied", "halt"} {
+		if got := ChainStopReason(int32(code)); got != want {
+			t.Errorf("ChainStopReason(%d) = %q, want %q", code, got, want)
+		}
+	}
+	for code, want := range []string{"quarantine", "watchdog", "shutdown-deadline", "overload", "manual"} {
+		if got := FlightRecReason(int32(code)); got != want {
+			t.Errorf("FlightRecReason(%d) = %q, want %q", code, got, want)
+		}
+	}
+	if got := ChainStopReason(9); got != "reason(9)" {
+		t.Errorf("unknown chain-stop code prints %q", got)
 	}
 }

@@ -127,25 +127,6 @@ const (
 	ChainStopHalt
 )
 
-// ChainStopReason names a ChainStop code for the trace_event export and
-// tracecheck validation.
-func ChainStopReason(code int32) string {
-	switch code {
-	case ChainStopDepth:
-		return "depth"
-	case ChainStopBudget:
-		return "budget"
-	case ChainStopLock:
-		return "lock"
-	case ChainStopOccupied:
-		return "occupied"
-	case ChainStopHalt:
-		return "halt"
-	default:
-		return fmt.Sprintf("reason(%d)", code)
-	}
-}
-
 // FlightRec reason codes, packed into KindFlightRec's arg high word.
 const (
 	// FlightRecQuarantine: an operator was quarantined.
@@ -160,84 +141,136 @@ const (
 	FlightRecManual
 )
 
-// FlightRecReason names a FlightRec code for the trace_event export and
-// tracecheck validation.
-func FlightRecReason(code int32) string {
-	switch code {
-	case FlightRecQuarantine:
-		return "quarantine"
-	case FlightRecWatchdog:
-		return "watchdog"
-	case FlightRecShutdown:
-		return "shutdown-deadline"
-	case FlightRecOverload:
-		return "overload"
-	case FlightRecManual:
-		return "manual"
-	default:
-		return fmt.Sprintf("reason(%d)", code)
+// Arg is one argument in a kind's schema.
+type Arg struct {
+	// Name is the argument's key in the trace_event export.
+	Name string
+	// Min is the least valid value of a numeric argument.
+	Min int64
+	// Enum, when set, makes the argument a closed set of reason names
+	// indexed by the code the runtime packs; it exports as the name.
+	Enum []string
+}
+
+// kindInfo is one row of the kind registry.
+type kindInfo struct {
+	name string
+	// args is the schema of the event's arg word: none, one (the whole
+	// word), or two (hi<<32|lo, see PackPair).
+	args []Arg
+}
+
+// kinds is the registry: the one declaration of every kind's stable
+// name (the trace_event event name, the -require vocabulary) and its
+// argument schema. The exporter renders args from it and tracecheck
+// validates them against it, so a new kind is one row here.
+var kinds = [numKinds]kindInfo{
+	KindAcquire:    {"acquire", []Arg{{Name: "port"}}},
+	KindRelease:    {"release", []Arg{{Name: "tuples"}}},
+	KindSteal:      {"steal", []Arg{{Name: "victim"}, {Name: "port"}}},
+	KindSpill:      {"spill", []Arg{{Name: "port"}}},
+	KindPark:       {"park", nil},
+	KindUnpark:     {"unpark", nil},
+	KindResched:    {"resched", []Arg{{Name: "port"}}},
+	KindQuarantine: {"quarantine", []Arg{{Name: "node"}}},
+	KindElastic:    {"elastic-level", []Arg{{Name: "level"}, {Name: "throughput"}}},
+	KindChain:      {"chain", []Arg{{Name: "depth", Min: 1}, {Name: "port"}}},
+	KindChainStop: {"chain-stop", []Arg{{Name: "reason", Enum: []string{
+		ChainStopDepth: "depth", ChainStopBudget: "budget", ChainStopLock: "lock",
+		ChainStopOccupied: "occupied", ChainStopHalt: "halt",
+	}}, {Name: "port"}}},
+	KindVMFuse:   {"vm-fuse", []Arg{{Name: "segs", Min: 2}, {Name: "port"}}},
+	KindAdmit:    {"admit", []Arg{{Name: "tenant"}, {Name: "count", Min: 1}}},
+	KindShed:     {"shed", []Arg{{Name: "tenant"}, {Name: "count", Min: 1}}},
+	KindThrottle: {"throttle", []Arg{{Name: "tenant"}, {Name: "count", Min: 1}}},
+	// port is -1 when every queue was empty at the sample.
+	KindBPSample: {"bp-sample", []Arg{{Name: "port", Min: -1}, {Name: "occ"}}},
+	KindFlightRec: {"flightrec-dump", []Arg{{Name: "reason", Enum: []string{
+		FlightRecQuarantine: "quarantine", FlightRecWatchdog: "watchdog",
+		FlightRecShutdown: "shutdown-deadline", FlightRecOverload: "overload",
+		FlightRecManual: "manual",
+	}}, {Name: "samples"}}},
+	KindVMVec:      {"vm-vec", []Arg{{Name: "rows", Min: 1}, {Name: "port"}}},
+	KindVMVecAbort: {"vm-vec-abort", []Arg{{Name: "rows", Min: 1}, {Name: "port"}}},
+}
+
+func (k Kind) info() kindInfo {
+	if k < numKinds {
+		return kinds[k]
 	}
+	return kindInfo{}
 }
 
 // String implements fmt.Stringer; the names double as trace_event event
 // names, so they are stable.
 func (k Kind) String() string {
-	switch k {
-	case KindAcquire:
-		return "acquire"
-	case KindRelease:
-		return "release"
-	case KindSteal:
-		return "steal"
-	case KindSpill:
-		return "spill"
-	case KindPark:
-		return "park"
-	case KindUnpark:
-		return "unpark"
-	case KindResched:
-		return "resched"
-	case KindQuarantine:
-		return "quarantine"
-	case KindElastic:
-		return "elastic-level"
-	case KindChain:
-		return "chain"
-	case KindChainStop:
-		return "chain-stop"
-	case KindVMFuse:
-		return "vm-fuse"
-	case KindAdmit:
-		return "admit"
-	case KindShed:
-		return "shed"
-	case KindThrottle:
-		return "throttle"
-	case KindBPSample:
-		return "bp-sample"
-	case KindFlightRec:
-		return "flightrec-dump"
-	case KindVMVec:
-		return "vm-vec"
-	case KindVMVecAbort:
-		return "vm-vec-abort"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if n := k.info().name; n != "" {
+		return n
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// Args returns the kind's argument schema (shared; do not modify).
+func (k Kind) Args() []Arg { return k.info().args }
+
+// AllKinds returns every emitted kind in declaration order.
+func AllKinds() []Kind {
+	out := make([]Kind, 0, numKinds-1)
+	for k := KindNone + 1; k < numKinds; k++ {
+		out = append(out, k)
+	}
+	return out
 }
 
 // KindNames returns every emitted kind's name in declaration order —
 // a stable ordering for presenters that render Kinds tallies.
 func KindNames() []string {
 	names := make([]string, 0, numKinds-1)
-	for k := KindNone + 1; k < numKinds; k++ {
+	for _, k := range AllKinds() {
 		names = append(names, k.String())
 	}
 	return names
 }
 
-// PackPair packs two 32-bit values into one event arg (KindSteal,
-// KindElastic).
+// reason names an Enum argument's code.
+func (a Arg) reason(code int32) string {
+	if code >= 0 && int(code) < len(a.Enum) {
+		return a.Enum[code]
+	}
+	return fmt.Sprintf("reason(%d)", code)
+}
+
+// value renders one argument for export: its reason name for an Enum,
+// the number otherwise.
+func (a Arg) value(v int64) any {
+	if a.Enum != nil {
+		return a.reason(int32(v))
+	}
+	return v
+}
+
+// exportArgs decodes an event's arg word by its kind's schema into the
+// args map the trace_event export carries (nil for a kind with none).
+func (k Kind) exportArgs(arg int64) map[string]any {
+	as := k.Args()
+	switch len(as) {
+	case 0:
+		return nil
+	case 1:
+		return map[string]any{as[0].Name: as[0].value(arg)}
+	}
+	hi, lo := UnpackPair(arg)
+	return map[string]any{as[0].Name: as[0].value(int64(hi)), as[1].Name: as[1].value(int64(lo))}
+}
+
+// ChainStopReason names a ChainStop code.
+func ChainStopReason(code int32) string { return kinds[KindChainStop].args[0].reason(code) }
+
+// FlightRecReason names a FlightRec code.
+func FlightRecReason(code int32) string { return kinds[KindFlightRec].args[0].reason(code) }
+
+// PackPair packs two 32-bit values into one event arg (every kind whose
+// schema has two args).
 func PackPair(hi int32, lo uint32) int64 {
 	return int64(hi)<<32 | int64(lo)
 }
