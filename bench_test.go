@@ -160,34 +160,12 @@ func benchAblation(b *testing.B, qcap int, scfg sched.Config) {
 	benchNative(b, streams.ModelDynamic, 2, 16, qcap, scfg)
 }
 
-func BenchmarkAblationRetryVsAbandon(b *testing.B) {
-	// The retry-vs-abandon decision is about the global free-list walk,
-	// so both arms run the single global list.
-	b.Run("abandon-paper", func(b *testing.B) { benchAblation(b, 0, sched.Config{GlobalFreeList: true}) })
-	b.Run("retry", func(b *testing.B) {
-		benchAblation(b, 0, sched.Config{GlobalFreeList: true, RetryOnContention: true})
-	})
-}
-
-func BenchmarkAblationRescheduleVsBlock(b *testing.B) {
-	// Tiny queues force the full-queue path constantly.
-	b.Run("reschedule-paper", func(b *testing.B) { benchAblation(b, 4, sched.Config{}) })
-	b.Run("block", func(b *testing.B) { benchAblation(b, 4, sched.Config{BlockOnFullQueue: true}) })
-}
-
 func BenchmarkAblationReschedLimit(b *testing.B) {
 	for _, limit := range []int{1, 16, 64} {
 		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
 			benchAblation(b, 64, sched.Config{ReschedLimit: limit})
 		})
 	}
-}
-
-func BenchmarkAblationFreeListOrder(b *testing.B) {
-	// The ordering ablation is defined on the single global list
-	// (FreeListLIFO implies GlobalFreeList), so the FIFO arm pins it too.
-	b.Run("fifo-lru-paper", func(b *testing.B) { benchAblation(b, 0, sched.Config{GlobalFreeList: true}) })
-	b.Run("lifo-mru", func(b *testing.B) { benchAblation(b, 0, sched.Config{FreeListLIFO: true}) })
 }
 
 // BenchmarkAblationFreeListSharding measures what the sharded free list
@@ -198,11 +176,6 @@ func BenchmarkAblationFreeListOrder(b *testing.B) {
 func BenchmarkAblationFreeListSharding(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) { benchAblation(b, 0, sched.Config{}) })
 	b.Run("global-paper", func(b *testing.B) { benchAblation(b, 0, sched.Config{GlobalFreeList: true}) })
-}
-
-func BenchmarkAblationStopFlags(b *testing.B) {
-	b.Run("per-thread-paper", func(b *testing.B) { benchAblation(b, 0, sched.Config{}) })
-	b.Run("shared", func(b *testing.B) { benchAblation(b, 0, sched.Config{SharedStopFlags: true}) })
 }
 
 // BenchmarkAblationElasticHistory compares trust-wipe (the paper) with

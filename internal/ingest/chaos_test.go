@@ -10,6 +10,7 @@ package ingest_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,6 +65,7 @@ func TestChaosIngest(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	var dialed atomic.Uint64
 	for _, tenant := range []string{"gold", "bronze"} {
 		for cl := 0; cl < clients; cl++ {
 			wg.Add(1)
@@ -74,6 +76,7 @@ func TestChaosIngest(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				dialed.Add(1)
 				for i := 0; i < perClient; i++ {
 					if err := c.Send(tuple.NewData(uint64(i), uint64(cl))); err != nil {
 						// A seeded reset severed the connection under us:
@@ -100,9 +103,12 @@ func TestChaosIngest(t *testing.T) {
 	// stream into kernel socket buffers before the server's reader
 	// goroutines catch up, and stopping on "queues empty" alone would
 	// then sever the connections before admission ever saw the data.
+	// For the same reason a connection can still sit in the listen
+	// backlog, not yet accepted and so not yet open: wait until every
+	// dialed connection has been accepted.
 	waitFor(t, 20*time.Second, "connections to settle and queues to drain", func() bool {
 		sn := srv.Snapshot()
-		if sn.Open > 0 {
+		if sn.Totals.Conns < dialed.Load() || sn.Open > 0 {
 			return false
 		}
 		for _, tn := range sn.Tenants {

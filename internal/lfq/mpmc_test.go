@@ -261,18 +261,3 @@ func TestMPMCPushExDistinguishesFull(t *testing.T) {
 		t.Fatalf("PushEx after Pop = %v, want PushOK", got)
 	}
 }
-
-// TestStackPushExFull checks the Stack's PushEx parity: failure is
-// always PushFull.
-func TestStackPushExFull(t *testing.T) {
-	s := NewStack[int](2)
-	if got := s.PushEx(1); got != PushOK {
-		t.Fatalf("PushEx = %v, want PushOK", got)
-	}
-	if got := s.PushEx(2); got != PushOK {
-		t.Fatalf("PushEx = %v, want PushOK", got)
-	}
-	if got := s.PushEx(3); got != PushFull {
-		t.Fatalf("PushEx on full stack = %v, want PushFull", got)
-	}
-}

@@ -97,12 +97,6 @@ type Config struct {
 	CPUUsage cpuutil.UsageFunc
 	// Sched tunes the dynamic scheduler.
 	Sched sched.Config
-	// Geometric selects geometric elastic level growth. Default true.
-	GeometricOff bool
-	// RememberHistory keeps elastic records across workload changes.
-	RememberHistory bool
-	// Sens overrides the elastic sensitivity (default 5%).
-	Sens float64
 	// Trace, if set, observes every adaptation period.
 	Trace func(Sample)
 	// QueueCap is the per-input-port queue capacity of the dedicated and
@@ -318,17 +312,17 @@ func (pe *PE) Start() error {
 
 // adaptLoop is the elasticity driver: every AdaptPeriod it measures the
 // PE-wide throughput, verifies that last period's thread actions took
-// effect, and applies the controller's decision.
+// effect, and applies the controller's decision. The controller runs the
+// product's policy: geometric level growth (Fig. 11's quick ramp-up),
+// the 5% sensitivity, and a trust wipe on every workload change (§4.2).
 func (pe *PE) adaptLoop() {
 	defer pe.adaptWG.Done()
 	dyn := pe.runner.(*dynamicRunner)
 	ctl, err := elastic.New(elastic.Config{
-		MinLevel:        dyn.s.MinLevel(),
-		MaxLevel:        dyn.s.MaxLevel(),
-		Sens:            pe.cfg.Sens,
-		CPUAcceptable:   cpuutil.NewGate(pe.cfg.CPUUsage, 0).Acceptable,
-		Geometric:       !pe.cfg.GeometricOff,
-		RememberHistory: pe.cfg.RememberHistory,
+		MinLevel:      dyn.s.MinLevel(),
+		MaxLevel:      dyn.s.MaxLevel(),
+		CPUAcceptable: cpuutil.NewGate(pe.cfg.CPUUsage, 0).Acceptable,
+		Geometric:     true,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("pe: elastic config invalid: %v", err)) // unreachable: inputs validated in New

@@ -9,9 +9,10 @@ import (
 	"streams/internal/tuple"
 )
 
-// TestScratchCapacityBounded is the regression test for the LIFO walk's
+// TestScratchCapacityBounded is the regression test for the shard walk's
 // scratch buffer: a walk over a large, idle port set must not leave a
-// backing array proportional to the port count aliased into the thread.
+// backing array proportional to the port count aliased into the thread,
+// and must restore every hint it inspected.
 func TestScratchCapacityBounded(t *testing.T) {
 	const width = 3 * maxScratchCap
 	b := graph.NewBuilder()
@@ -24,28 +25,55 @@ func TestScratchCapacityBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(g, Config{MaxThreads: 1, FreeListLIFO: true})
+	s := New(g, Config{MaxThreads: 1})
 	defer s.Shutdown()
 	thr := s.threads[0]
-	// All queues are empty, so the walk inspects every port and grows
-	// scratch to the full port count before restoring the stack.
-	var tp tuple.Tuple
-	if s.findWorkNonBlocking(&tp, thr) {
-		t.Fatal("found work on an idle graph")
+	// Move the whole port population into the thread's shard. All queues
+	// are empty, so the walk inspects every hint and grows scratch to the
+	// full port count before restoring the shard.
+	var port int32
+	for s.freePorts.Pop(&port) {
+		if !thr.shard.PushBottom(port) {
+			t.Fatalf("shard refused hint %d", port)
+		}
 	}
-	if got := cap(thr.scratch); got > maxScratchCap {
-		t.Fatalf("scratch capacity %d retained after long walk, want <= %d", got, maxScratchCap)
+	for walk := 1; walk <= 2; walk++ {
+		var tp tuple.Tuple
+		if s.popLocal(&tp, thr) {
+			t.Fatalf("walk %d found work on an idle graph", walk)
+		}
+		if got := cap(thr.scratch); got > maxScratchCap {
+			t.Fatalf("walk %d: scratch capacity %d retained, want <= %d", walk, got, maxScratchCap)
+		}
+		if len(thr.scratch) != 0 {
+			t.Fatalf("walk %d: scratch length %d, want 0", walk, len(thr.scratch))
+		}
+		// The walk must have restored every hint: the next walk sees the
+		// same full (idle) port set, not a starved shard.
+		if got := thr.shard.Len(); got != width {
+			t.Fatalf("walk %d: shard holds %d hints, want %d", walk, got, width)
+		}
 	}
-	if len(thr.scratch) != 0 {
-		t.Fatalf("scratch length %d after walk, want 0", len(thr.scratch))
-	}
-	// The walk must have restored every port: a second walk sees the
-	// same full (idle) port set, not a starved list.
-	if s.findWorkNonBlocking(&tp, thr) {
-		t.Fatal("second walk found work on an idle graph")
-	}
-	if got := cap(thr.scratch); got > maxScratchCap {
-		t.Fatalf("scratch capacity %d after second walk, want <= %d", got, maxScratchCap)
+}
+
+// TestIdleFindZeroAlloc guards the idle search: a find on an idle graph
+// — own shard, steal sweep and global poll under the sharded list, the
+// paper's walk under GlobalFreeList — must not allocate, since idle
+// threads repeat it on every back-off step.
+func TestIdleFindZeroAlloc(t *testing.T) {
+	for _, global := range []bool{false, true} {
+		s := New(pipelineGraph(t, 7, 1, &ops.Sink{}), Config{MaxThreads: 2, GlobalFreeList: global})
+		thr := s.threads[0]
+		var tp tuple.Tuple
+		find := func() {
+			if s.findWorkNonBlocking(&tp, thr) {
+				t.Fatal("found work on an idle graph")
+			}
+		}
+		if avg := testing.AllocsPerRun(200, find); avg != 0 {
+			t.Errorf("GlobalFreeList=%v: idle find allocates %.2f times per call", global, avg)
+		}
+		s.Shutdown()
 	}
 }
 

@@ -21,9 +21,8 @@
 // from other shards in randomized order when its own runs dry and
 // spilling to a retained global list on overflow. The paper's original
 // single global Vyukov MPMC list survives behind the GlobalFreeList
-// ablation flag (and implicitly under FreeListLIFO); see DESIGN.md's
-// "Sharded free list" section for the ownership and elastic-resize
-// protocol.
+// flag; see DESIGN.md's "Sharded free list" section for the ownership
+// and elastic-resize protocol.
 package sched
 
 import (
@@ -120,42 +119,11 @@ type Config struct {
 	// operator. Nil (the default) skips both seams.
 	Latency *metrics.Histogram
 
-	// The remaining options reverse individual design decisions from the
-	// paper so the benchmark suite can measure what each one buys
-	// (DESIGN.md lists the ablations). All default to the paper's
-	// choices (false).
-
-	// RetryOnContention retries contended free-list operations instead
-	// of abandoning the search (§4.1.3 argues abandoning is better).
-	RetryOnContention bool
-	// BlockOnFullQueue makes producers wait for queue space instead of
-	// draining the blocking queue themselves; after a fixed, short wait
-	// (blockOnFullAttempts) an escape hatch falls back to reSchedule, and
-	// pushes made from inside that self-help drain do not wait again, so
-	// the ablation cannot deadlock or stall the PE (§4.1.4 explains why
-	// self-help is the design). Blocking producers
-	// only stay unwedged when the free structure rotates threads across
-	// ports so every queue stays shallow — the approximately-LRU service
-	// order of the global FIFO list. The sharded list's LIFO affinity
-	// instead lets downstream queues run deep, and once every thread is
-	// a blocked producer no thread is searching (or stealing) at all,
-	// leaving only the escape hatch to crawl the pipeline forward.
-	// Setting it therefore implies GlobalFreeList.
-	BlockOnFullQueue bool
-	// SharedStopFlags polls one shared set of stop flags from every
-	// thread instead of per-thread copies (§4.1.2 argues the shared
-	// cache line limits scalability).
-	SharedStopFlags bool
-	// FreeListLIFO replaces the FIFO free list (approximately LRU
-	// scheduling, §4.1.5) with a most-recently-used stack. The order
-	// ablation is defined on the single global list, so setting it
-	// implies GlobalFreeList.
-	FreeListLIFO bool
 	// GlobalFreeList routes every free-port handoff through the single
-	// global list — the paper's original design — instead of the
+	// global FIFO list — the paper's original design — instead of the
 	// sharded per-thread caches with work stealing. This is the
 	// paper-faithful configuration for the Fig. 9–11 reproductions and
-	// the free-list ablation benchmarks.
+	// the free-list sharding benchmarks.
 	GlobalFreeList bool
 }
 
@@ -199,14 +167,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// freeList abstracts the global free list so the FreeListLIFO ablation
-// can substitute a stack for the FIFO queue.
-type freeList interface {
-	Push(v int32) bool
-	PushEx(v int32) lfq.PushResult
-	Pop(v *int32) bool
-}
-
 // Scheduler executes a stream graph with a dynamically sized pool of
 // threads, any of which can execute any operator input port.
 type Scheduler struct {
@@ -221,21 +181,18 @@ type Scheduler struct {
 	// queues is the paper's queuesTable: written once at initialization,
 	// read-only afterwards, indexed by global input-port ID.
 	queues []*lfq.Enforcer[tuple.Tuple]
-	// freePorts is the global free list of input-port IDs: FIFO by
-	// default (approximately LRU scheduling), a LIFO stack under the
-	// FreeListLIFO ablation. Under the sharded design it holds the
-	// initial port population, shard spills, and the hints flushed by
-	// suspending or exiting threads.
-	freePorts freeList
+	// freePorts is the global FIFO free list of input-port IDs
+	// (approximately LRU scheduling, §4.1.5). Under the sharded design
+	// it holds the initial port population, shard spills, and the hints
+	// flushed by suspending or exiting threads.
+	freePorts *lfq.MPMC[int32]
 	// shards are the per-thread free-port caches (nil entries never
 	// exist; one deque per thread-table slot). Only the owning thread
 	// pushes to or pops the bottom of its shard; any thread may steal.
 	// Unused when useShards is false.
 	shards []*lfq.WSDeque
 	// useShards selects the sharded free list: the default, reversed by
-	// the GlobalFreeList ablation (and by FreeListLIFO and
-	// BlockOnFullQueue, which are only well-defined on the single
-	// global list — see their Config docs).
+	// GlobalFreeList.
 	useShards bool
 
 	// seqs[node][outPort] stamps stream sequence numbers for the
@@ -331,12 +288,6 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	for listCap < nPorts+1 {
 		listCap *= 2
 	}
-	var fl freeList
-	if cfg.FreeListLIFO {
-		fl = lfq.NewStack[int32](listCap)
-	} else {
-		fl = lfq.NewMPMC[int32](listCap)
-	}
 	shardCap := cfg.ShardCap
 	if shardCap == 0 {
 		shardCap = listCap
@@ -354,10 +305,10 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	s := &Scheduler{
 		g:             g,
 		cfg:           cfg,
-		useShards:     !cfg.GlobalFreeList && !cfg.FreeListLIFO && !cfg.BlockOnFullQueue,
+		useShards:     !cfg.GlobalFreeList,
 		batchCap:      batchCap,
 		queues:        make([]*lfq.Enforcer[tuple.Tuple], nPorts),
-		freePorts:     fl,
+		freePorts:     lfq.NewMPMC[int32](listCap),
 		seqs:          make([][]atomic.Uint64, len(g.Nodes)),
 		slotBase:      make([][]int32, len(g.Nodes)),
 		numSlots:      make([]int, len(g.Nodes)),
@@ -998,17 +949,10 @@ func (b *backoff) wait() {
 	}
 }
 
-// blockOnFullAttempts bounds the BlockOnFullQueue wait to a fixed total:
-// the spin budget, then sleeps of 1, 10 and 100 µs. When every thread is
-// a blocked producer nothing moves until one of them gives up, so the
-// escape hatch to self-help has to fire this soon; at 64 attempts (half a
-// second once the sleeps reach the 10 ms cap) a 25-stage pipeline under
-// FreeListLIFO did not drain in 30 s on two cores.
-const blockOnFullAttempts = backoffSpinBudget + 3
-
 // push is the paper's Figure 6 entry point: try the enforcer push, and if
 // it fails (full queue or producer-lock contention — we do not
-// distinguish), fall into reSchedule.
+// distinguish), fall into reSchedule. Producers never wait for space:
+// they drain the blocking queue themselves (§4.1.4).
 func (s *Scheduler) push(t tuple.Tuple, c *ctx) {
 	if inj := s.inj; inj != nil {
 		inj.StallFault() // chaos seam: let the destination queue run full
@@ -1016,26 +960,6 @@ func (s *Scheduler) push(t tuple.Tuple, c *ctx) {
 	q := s.queues[t.Port]
 	if q.Push(t) {
 		return
-	}
-	if s.cfg.BlockOnFullQueue && c.chainLeft >= 0 {
-		// Ablation: wait for space like a plain bounded-queue runtime
-		// would — bounded and with the paper's back-off rather than a
-		// raw spin, so a full cycle of blocked producers burns little
-		// CPU and still falls through to self-help instead of
-		// deadlocking. A frame that is itself a self-help drain
-		// (chainLeft -1) does not wait again: it already gave up
-		// waiting once, and paying the wait at every level of the
-		// recursion is what made the escape hatch crawl.
-		b := s.newBackoff()
-		for i := 0; i < blockOnFullAttempts; i++ {
-			b.wait()
-			if q.Push(t) {
-				return
-			}
-			if c.finished() {
-				return
-			}
-		}
 	}
 	s.reSchedule(q, t, c)
 }
@@ -1433,7 +1357,7 @@ func (s *Scheduler) schedule(thr *Thread) {
 			}
 			drained += n
 			thr.heartbeat.Add(1)
-			if thr.suspended.Load() || s.stopRequested(thr) {
+			if thr.suspended.Load() || thr.stopRequested() {
 				break
 			}
 			if n = q.Queue().PopN(thr.batch); n == 0 {
@@ -1453,25 +1377,16 @@ func (s *Scheduler) schedule(thr *Thread) {
 	}
 }
 
-// stopRequested consults the thread's local stop flags, or — under the
-// SharedStopFlags ablation — the scheduler-global ones, making every
-// loop iteration touch shared cache lines.
-func (s *Scheduler) stopRequested(thr *Thread) bool {
-	if s.cfg.SharedStopFlags {
-		return s.shutdownGlobal.Load() || s.portsClosedGlobal.Load()
-	}
-	return thr.stopRequested()
-}
-
 // findWorkBlocking is the paper's Figure 5 outer loop: look for work,
 // back off exponentially while none exists, honor suspension, and return
-// false only when the PE is stopping.
+// false only when the PE is stopping. Every stop flag it polls is the
+// thread's own copy (§4.1.2).
 func (s *Scheduler) findWorkBlocking(t *tuple.Tuple, thr *Thread) bool {
 	delay := time.Microsecond
-	for !s.stopRequested(thr) {
+	for !thr.stopRequested() {
 		thr.heartbeat.Add(1)
 		s.parkIfAsked(thr)
-		if s.stopRequested(thr) {
+		if thr.stopRequested() {
 			return false
 		}
 		if s.findWorkNonBlocking(t, thr) {
@@ -1490,15 +1405,11 @@ func (s *Scheduler) findWorkBlocking(t *tuple.Tuple, thr *Thread) bool {
 // structure, (2) is not taken by another thread and (3) has a tuple
 // queued. On success the caller holds the port's consumer lock and *t
 // is the first tuple. The sharded design searches the thread's own
-// cache, then steals, then polls the global list; the GlobalFreeList
-// and FreeListLIFO ablations walk the single global list the paper's
-// way.
+// cache, then steals, then polls the global list; GlobalFreeList walks
+// the single global list the paper's way.
 func (s *Scheduler) findWorkNonBlocking(t *tuple.Tuple, thr *Thread) bool {
 	if s.useShards {
 		return s.findWorkSharded(t, thr)
-	}
-	if s.cfg.FreeListLIFO {
-		return s.findWorkLIFO(t, thr)
 	}
 	return s.findWorkFIFO(t, thr)
 }
@@ -1565,10 +1476,8 @@ func (s *Scheduler) findWorkSharded(t *tuple.Tuple, thr *Thread) bool {
 
 // popLocal walks the thread's own shard top-down: pop, try to take, and
 // buffer unusable ports in scratch, restoring them in reverse so the
-// stacking order survives — the findWorkLIFO walk shape, but on a
-// structure only this thread pushes to. The walk terminates within the
-// shard's capacity because nobody refills the shard while its owner
-// walks it.
+// stacking order survives. The walk terminates within the shard's
+// capacity because nobody refills the shard while its owner walks it.
 func (s *Scheduler) popLocal(t *tuple.Tuple, thr *Thread) bool {
 	scratch := thr.scratch[:0]
 	found := false
@@ -1640,25 +1549,23 @@ func (s *Scheduler) steal(t *tuple.Tuple, thr *Thread) bool {
 // initial ports, shard spills, and suspended threads' flushed hints
 // land there — and migrates the unusable ones into the local shard.
 func (s *Scheduler) pollGlobal(t *tuple.Tuple, thr *Thread) bool {
-	// The list sits behind an interface, so a local would escape and
-	// cost a heap allocation on every idle find; pop into the thread.
-	port := &thr.polled
+	var port int32
 	for i := 0; i < globalPollBatch; i++ {
-		if !s.popFree(port, thr.id) {
+		if !s.popFree(&port, thr.id) {
 			return false
 		}
-		if s.tryTake(*port, t) {
+		if s.tryTake(port, t) {
 			return true
 		}
-		s.makePortFree(*port, thr)
+		s.makePortFree(port, thr)
 	}
 	return false
 }
 
 // makePortFree returns a port hint to the free structure: under the
 // sharded design the calling thread's own shard, spilling to the global
-// list on overflow; the global list serves the unsharded ablations
-// directly. Closed ports are dropped.
+// list on overflow; under GlobalFreeList the global list directly.
+// Closed ports are dropped.
 func (s *Scheduler) makePortFree(port int32, thr *Thread) {
 	if s.PortClosed(port) {
 		return
@@ -1732,64 +1639,21 @@ func (s *Scheduler) drainShard(thr *Thread) {
 	}
 }
 
-// maxScratchCap bounds the backing array a thread retains for the LIFO
-// free-list walk. A walk over a graph with thousands of idle ports grows
-// scratch to the full port count; without the bound that grown array
-// stayed aliased into thr.scratch forever.
+// maxScratchCap bounds the backing array a thread retains for the shard
+// walk (popLocal). A walk over a shard holding many idle ports grows
+// scratch to the shard's occupancy; without the bound that grown array
+// would stay aliased into thr.scratch forever.
 const maxScratchCap = 64
 
-// findWorkLIFO is the free-list walk for the FreeListLIFO ablation. The
-// paper's walk (pop, test, push to the back, stop on seeing the first
-// port again) assumes FIFO order; on a stack the pushed-back port is
-// immediately popped again and the walk inspects only one element, which
-// starves every other port. The MRU variant therefore buffers inspected
-// ports locally and restores them after the walk — already a hint at why
-// the product chose the FIFO list.
-func (s *Scheduler) findWorkLIFO(t *tuple.Tuple, thr *Thread) bool {
-	scratch := thr.scratch[:0]
-	found := false
-	var port int32
-	for len(scratch) < len(s.queues) && s.popFree(&port, thr.id) {
-		if s.tryTake(port, t) {
-			found = true
-			break
-		}
-		scratch = append(scratch, port)
-	}
-	// Restore in reverse so the original stacking order survives.
-	for i := len(scratch) - 1; i >= 0; i-- {
-		s.requeue(scratch[i], thr.id)
-	}
-	if cap(scratch) > maxScratchCap {
-		// A long walk grew the backing array; keep only a bounded buffer
-		// so the thread does not pin memory proportional to the port
-		// count between walks.
-		thr.scratch = make([]int32, 0, maxScratchCap)
-	} else {
-		thr.scratch = scratch[:0]
-	}
-	return found
-}
-
-// popFree pops the global free list once, or — under the
-// RetryOnContention ablation — keeps retrying a failed pop instead of
-// abandoning the search to the back-off path. A false return covers
-// both empty and contended (the MPMC cannot tell them apart), so the
-// PopFail meter counts the union.
+// popFree pops the global free list once. A failed pop abandons the
+// search to the back-off path instead of retrying (§4.1.3). A false
+// return covers both empty and contended (the MPMC cannot tell them
+// apart), so the PopFail meter counts the union.
 func (s *Scheduler) popFree(v *int32, tid int) bool {
 	if s.freePorts.Pop(v) {
 		return true
 	}
 	s.contention.PopFail.Add(tid, 1)
-	if !s.cfg.RetryOnContention {
-		return false
-	}
-	for i := 0; i < 64; i++ {
-		if s.freePorts.Pop(v) {
-			return true
-		}
-		runtime.Gosched()
-	}
 	return false
 }
 

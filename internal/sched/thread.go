@@ -69,7 +69,7 @@ type Thread struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// scratch buffers the LIFO free-list walk (FreeListLIFO ablation).
+	// scratch buffers the unusable ports of the shard walk (popLocal).
 	// Its retained capacity is bounded (maxScratchCap) so one walk over a
 	// huge port set does not pin a proportionally huge array forever.
 	scratch []int32
@@ -94,15 +94,12 @@ type Thread struct {
 	ctxCache *ctx
 
 	// shard is the thread's local free-port cache under the sharded free
-	// list (nil under the GlobalFreeList/FreeListLIFO ablations). Only
-	// this thread pushes to or pops the bottom; other threads steal from
-	// the top.
+	// list (nil under GlobalFreeList). Only this thread pushes to or pops
+	// the bottom; other threads steal from the top.
 	shard *lfq.WSDeque
 	// findTick counts findWorkSharded calls to pace the periodic global
-	// poll, and polled receives each port that poll pops; thread-local,
-	// no synchronization.
+	// poll; thread-local, no synchronization.
 	findTick int
-	polled   int32
 	// chainBudget is the inline-chain tuple allowance remaining in the
 	// current top-level drain batch; schedule() refills it from
 	// Scheduler.chainBudget0 before each root executeBatch and tryChain
