@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-chain bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
+.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
 
 all: check
 
@@ -26,6 +26,7 @@ check: vet build test race
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVerifyRun$$' -fuzztime 10s ./internal/vm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/spl
 
 # chaos runs the deterministic fault-injection soak under the race
 # detector: seeded panics, slowdowns and queue stalls inside the
@@ -109,17 +110,6 @@ bench-contention:
 	$(GO) test -bench BenchmarkFreeListContention -run '^$$' ./internal/sched \
 		| $(GO) run ./cmd/benchjson > contention.json
 	@echo wrote contention.json
-
-# bench-chain sweeps the inline-chain benchmark (chain vs -nochain ×
-# pipeline depth {10, 100, 1000}) and archives the results as JSON.
-# The iteration count is fixed so both modes run the same workload and
-# the chain/nochain ratio is a like-for-like comparison; 20000
-# end-to-end tuples keeps the slowest cell (nochain/depth=1000) under
-# ~20s while giving depth=1000 enough lifetime to escape startup noise.
-bench-chain:
-	$(GO) test -bench BenchmarkPipelineChain -benchtime=20000x -run '^$$' ./internal/sched \
-		| $(GO) run ./cmd/benchjson > BENCH_chain.json
-	@echo wrote BENCH_chain.json
 
 # bench-vm compares the three operator dispatch forms on identical
 # logic — one Custom through the closure evaluator vs its bytecode

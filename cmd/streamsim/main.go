@@ -58,9 +58,7 @@ func main() {
 		threads  = flag.Int("threads", 2, "native: dynamic thread count")
 		dur      = flag.Duration("dur", 2*time.Second, "native: measurement duration")
 		globalfl = flag.Bool("globalfl", false, "native: use the paper's single global free list instead of the sharded per-thread caches")
-		nochain  = flag.Bool("nochain", false, "native: disable inline chain execution (every flush goes through the queues)")
 		vmFuse   = flag.Bool("vm", false, "native: attach bytecode programs to workers so chain runs execute as fused superinstruction programs")
-		novec    = flag.Bool("novec", false, "native: disable vectorized batch-at-a-time VM execution (fused runs stay on the scalar per-tuple loop)")
 
 		chaos      = flag.String("chaos", "", "native: chaos spec, e.g. panic=0.001,slow=0.001:20us,stall=0.001:20us (see internal/fault)")
 		chaosSeed  = flag.Uint64("chaos-seed", 42, "native: chaos injector seed (deterministic per seed)")
@@ -105,12 +103,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		chaining := "on"
-		if *nochain {
-			chaining = "off"
-		}
-		fmt.Printf("native run on this host: %s, model %s, threads %d, free list %s, chaining %s\n",
-			w, m, *threads, freeList, chaining)
+		fmt.Printf("native run on this host: %s, model %s, threads %d, free list %s\n",
+			w, m, *threads, freeList)
 		if inj != nil {
 			fmt.Printf("chaos armed: %s (seed %d)\n", *chaos, *chaosSeed)
 		}
@@ -119,8 +113,7 @@ func main() {
 			qa = 1 << 30 // effectively never
 		}
 		cfg := fig.NativeConfig{
-			Model: m, Threads: *threads, Duration: *dur, GlobalFreeList: *globalfl,
-			DisableChain: *nochain, VM: *vmFuse, NoVec: *novec,
+			Model: m, Threads: *threads, Duration: *dur, GlobalFreeList: *globalfl, VM: *vmFuse,
 			Fault: inj, QuarantineAfter: qa,
 			Elastic: *elastic, AdaptPeriod: *adapt, MaxThreads: *maxthreads,
 		}

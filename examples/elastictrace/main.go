@@ -97,7 +97,7 @@ func syntheticThroughput(level int) float64 {
 // loop's tracer wiring: a LevelTrace observes every Update, emitting
 // one elastic-level event per level change and none otherwise.
 func driveController(periods int, tr *trace.Tracer) ([]decision, error) {
-	ctl, err := elastic.New(elastic.Config{MinLevel: 1, MaxLevel: 32, Geometric: true})
+	ctl, err := elastic.New(elastic.Config{MinLevel: 1, MaxLevel: 32})
 	if err != nil {
 		return nil, err
 	}

@@ -145,7 +145,7 @@ func TestTraceEndpointWithoutTracer(t *testing.T) {
 func TestWriteTextChainLine(t *testing.T) {
 	// The chain meters render their own panel line when inline chain
 	// execution fired, and stay silent otherwise (dedicated/manual runs
-	// and -nochain ablations never meter a chain).
+	// and graphs without a chainable port never meter a chain).
 	var with strings.Builder
 	s := Snapshot{Model: "dynamic"}
 	s.Sched.Chain = metrics.ChainSnapshot{Starts: 3, Links: 12, Tuples: 384, DepthStops: 2, Occupied: 1}

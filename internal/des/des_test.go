@@ -245,7 +245,7 @@ func TestElasticOnDES(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := s.RunElastic(5e6 /* 5ms periods */, 60, true)
+	trace, err := s.RunElastic(5e6 /* 5ms periods */, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

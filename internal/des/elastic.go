@@ -59,11 +59,8 @@ type ElasticPoint struct {
 // every periodNs of simulated time it measures PE-wide throughput,
 // updates the controller, and applies the new level. cfg.Threads is the
 // maximum level. Call instead of Run.
-func (s *Sim) RunElastic(periodNs float64, periods int, geometric bool) ([]ElasticPoint, error) {
-	ctl, err := elastic.New(elastic.Config{
-		MaxLevel:  s.cfg.Threads,
-		Geometric: geometric,
-	})
+func (s *Sim) RunElastic(periodNs float64, periods int) ([]ElasticPoint, error) {
+	ctl, err := elastic.New(elastic.Config{MaxLevel: s.cfg.Threads})
 	if err != nil {
 		return nil, err
 	}

@@ -18,12 +18,18 @@
 //
 // Increases additionally require the CPU-usage gate to pass and the level
 // to remain within [MinLevel, MaxLevel].
+//
+// The controller runs the product's policy and nothing else: geometric
+// brackets (while exploring upward the step above the current level
+// doubles, so it ramps to high levels in O(log n) periods — Fig. 11's
+// quick ramp-up — and bisects back down when it overshoots), the 5%
+// sensitivity Sens, and a trust wipe on every workload change.
 package elastic
 
 import "fmt"
 
-// Sens is the default sensitivity threshold: trends and workload changes
-// react to relative differences of more than 5%, the product's setting.
+// Sens is the sensitivity threshold: trends and workload changes react
+// to relative differences of more than 5%, the product's setting.
 const Sens = 0.05
 
 // Rule identifies which of the level-change rules decided the last
@@ -84,12 +90,12 @@ func (r Rule) String() string {
 	}
 }
 
-// record is the paper's ThreadRecord.
+// record is the paper's ThreadRecord, reduced to the fields the rules
+// read: the latest throughput observed at the level, and whether it is
+// trusted (observed since the last workload change).
 type record struct {
-	lastTime   uint64
-	firstThput float64
-	lastThput  float64
-	trusted    bool
+	lastThput float64
+	trusted   bool
 }
 
 // Config parametrizes a Controller.
@@ -101,21 +107,9 @@ type Config struct {
 	// MaxLevel is the largest level; the PE passes the number of logical
 	// processors available to it (§4.2.3). Required.
 	MaxLevel int
-	// Sens is the relative-difference threshold; 0 selects Sens (5%).
-	Sens float64
 	// CPUAcceptable gates increases on total system usage; nil means
 	// always acceptable.
 	CPUAcceptable func() bool
-	// Geometric selects geometric bracket growth: while exploring
-	// unknown territory the step above the current level doubles,
-	// ramping to high levels in O(log n) periods as the product's quick
-	// ramp-up in Fig. 11 does. When false the bracket is always ±1.
-	Geometric bool
-	// RememberHistory keeps performance records on workload change
-	// instead of wiping them (the paper's §5.4 future-work alternative:
-	// "A better alternative is designing a mechanism for remembering
-	// some history"). Records decay to untrusted only when contradicted.
-	RememberHistory bool
 }
 
 // Controller runs the elasticity algorithm. It is not safe for
@@ -123,7 +117,6 @@ type Config struct {
 type Controller struct {
 	cfg  Config
 	recs []record
-	time uint64
 
 	level      int
 	levelBelow int
@@ -147,12 +140,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.MinLevel > cfg.MaxLevel {
 		return nil, fmt.Errorf("elastic: MinLevel %d exceeds MaxLevel %d", cfg.MinLevel, cfg.MaxLevel)
-	}
-	if cfg.Sens == 0 {
-		cfg.Sens = Sens
-	}
-	if cfg.Sens < 0 || cfg.Sens >= 1 {
-		return nil, fmt.Errorf("elastic: Sens %g outside [0, 1)", cfg.Sens)
 	}
 	c := &Controller{
 		cfg:        cfg,
@@ -183,25 +170,10 @@ func (c *Controller) LastRule() Rule { return c.lastRule }
 // level change on the next Update.
 func (c *Controller) ActionsDidNotStick() { c.deferred = true }
 
-// bracketAbove computes the next level above l given the previous gap.
+// bracketAbove computes the next level above l given the previous gap:
+// twice the gap, clamped to MaxLevel (l itself when already there).
 func (c *Controller) bracketAbove(l, gap int) int {
-	if c.cfg.Geometric {
-		if gap < 1 {
-			gap = 1
-		}
-		a := l + 2*gap
-		if a > c.cfg.MaxLevel {
-			a = c.cfg.MaxLevel
-		}
-		if a <= l { // already at max
-			a = l
-		}
-		return a
-	}
-	if l+1 > c.cfg.MaxLevel {
-		return l
-	}
-	return l + 1
+	return max(min(l+2*max(gap, 1), c.cfg.MaxLevel), l)
 }
 
 // Update is the paper's updateThreadLevel (Figure 8): record the latest
@@ -217,26 +189,7 @@ func (c *Controller) Update(thput float64) int {
 		return c.level
 	}
 	if c.changeInLoad(thput) {
-		if c.cfg.RememberHistory && c.recs[c.level].lastThput > 0 {
-			// Remember-history mode: instead of discarding everything,
-			// rescale every trusted record by the observed change at the
-			// current level. The performance curve's *shape* usually
-			// survives a load change even when its magnitude does not,
-			// so trends stay comparable and the controller neither
-			// re-explores from scratch nor oscillates on noisy
-			// measurements (§5.4's proposed fix).
-			ratio := thput / c.recs[c.level].lastThput
-			for i := range c.recs {
-				if c.recs[i].trusted {
-					c.recs[i].lastThput *= ratio
-					c.recs[i].firstThput *= ratio
-				}
-			}
-		} else {
-			for i := range c.recs {
-				c.recs[i] = record{}
-			}
-		}
+		clear(c.recs)
 	}
 	c.observe(thput)
 
@@ -273,14 +226,7 @@ func (c *Controller) Update(thput float64) int {
 
 // observe records thput for the current level.
 func (c *Controller) observe(thput float64) {
-	r := &c.recs[c.level]
-	c.time++
-	r.lastTime = c.time
-	r.lastThput = thput
-	if !r.trusted {
-		r.firstThput = thput
-	}
-	r.trusted = true
+	c.recs[c.level] = record{lastThput: thput, trusted: true}
 }
 
 // changeInLoad decides whether the newest observation at the current
@@ -296,7 +242,7 @@ func (c *Controller) changeInLoad(thput float64) bool {
 	if diff < 0 {
 		diff = -diff
 	}
-	return diff > c.cfg.Sens*r.lastThput
+	return diff > Sens*r.lastThput
 }
 
 // trendBelow reports whether moving from the level below to the current
@@ -309,7 +255,7 @@ func (c *Controller) trendBelow(thput float64) bool {
 	if !r.trusted {
 		return false
 	}
-	return thput > r.lastThput && thput-r.lastThput > c.cfg.Sens*r.lastThput
+	return thput > r.lastThput && thput-r.lastThput > Sens*r.lastThput
 }
 
 // trendAbove reports whether the recorded throughput at the level above
@@ -322,7 +268,7 @@ func (c *Controller) trendAbove(thput float64) bool {
 	if !r.trusted {
 		return false
 	}
-	return r.lastThput > thput && r.lastThput-thput > c.cfg.Sens*thput
+	return r.lastThput > thput && r.lastThput-thput > Sens*thput
 }
 
 // trustBelow reports whether the level below has a trusted record.
@@ -348,9 +294,9 @@ func (c *Controller) cpuOK() bool {
 
 // increaseLevel moves the bracket up: the current level becomes the level
 // below, the level above becomes current, and a new level above is chosen
-// (doubling the gap under geometric growth). The bracket invariant
-// levelBelow < level (and levelAbove > level except at MaxLevel) is
-// restored if prior clamping degenerated it.
+// by doubling the gap. The bracket invariant levelBelow < level (and
+// levelAbove > level except at MaxLevel) is restored if prior clamping
+// degenerated it.
 func (c *Controller) increaseLevel() {
 	if c.levelAbove <= c.level {
 		c.levelAbove = c.level + 1
@@ -365,9 +311,9 @@ func (c *Controller) increaseLevel() {
 }
 
 // decreaseLevel moves the bracket down: the current level becomes the
-// level above and the level below becomes current. Under geometric
-// growth the gap below shrinks by half (never below one), bisecting
-// toward fine-grained settling.
+// level above and the level below becomes current. The gap below
+// shrinks by half (never below one), bisecting toward fine-grained
+// settling.
 func (c *Controller) decreaseLevel() {
 	if c.level <= c.cfg.MinLevel {
 		return
@@ -378,15 +324,7 @@ func (c *Controller) decreaseLevel() {
 		c.levelBelow = c.level - 1
 	}
 	c.level = c.levelBelow
-	if c.cfg.Geometric {
-		gap /= 2
-	} else {
-		gap = 1
-	}
-	if gap < 1 {
-		gap = 1
-	}
-	c.levelBelow = c.level - gap
+	c.levelBelow = c.level - max(gap/2, 1)
 	if c.level == c.cfg.MinLevel {
 		c.levelBelow = c.cfg.MinLevel - 1 // sentinel: nothing below
 	} else if c.levelBelow < c.cfg.MinLevel {

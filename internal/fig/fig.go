@@ -234,18 +234,10 @@ type NativeConfig struct {
 	// global free list instead of the default sharded per-thread caches,
 	// for global-vs-sharded comparisons (EXPERIMENTS.md).
 	GlobalFreeList bool
-	// DisableChain turns off inline chain execution in the dynamic
-	// scheduler (every flush goes through the queues), for chain-on
-	// versus chain-off comparisons (streamsim -nochain, BENCH_chain).
-	DisableChain bool
 	// VM attaches bytecode programs to the topology's workers so the
 	// dynamic scheduler can fuse chain runs into superinstruction
 	// dispatch loops (streamsim -vm).
 	VM bool
-	// NoVec keeps fused runs on the scalar per-tuple dispatch loop,
-	// disabling vectorized batch-at-a-time execution (streamsim -novec);
-	// the vec-off arm of the vectorization ablation.
-	NoVec bool
 	// Fault, if non-nil, arms chaos injection at the runtime's operator
 	// and queue seams for the whole run (streamsim -chaos).
 	Fault *fault.Injector
@@ -346,16 +338,12 @@ func RunNative(w sim.Workload, cfg NativeConfig) (NativeResult, error) {
 		cfg.AdaptPeriod = 250 * time.Millisecond
 	}
 	p, err := pe.New(g, pe.Config{
-		Model:       cfg.Model,
-		Threads:     cfg.Threads,
-		Elastic:     cfg.Elastic,
-		AdaptPeriod: cfg.AdaptPeriod,
-		MaxThreads:  nativeMaxThreads(cfg),
-		Sched: sched.Config{
-			GlobalFreeList: cfg.GlobalFreeList,
-			DisableChain:   cfg.DisableChain,
-			DisableVec:     cfg.NoVec,
-		},
+		Model:           cfg.Model,
+		Threads:         cfg.Threads,
+		Elastic:         cfg.Elastic,
+		AdaptPeriod:     cfg.AdaptPeriod,
+		MaxThreads:      nativeMaxThreads(cfg),
+		Sched:           sched.Config{GlobalFreeList: cfg.GlobalFreeList},
 		Fault:           cfg.Fault,
 		QuarantineAfter: cfg.QuarantineAfter,
 		Tracer:          cfg.Tracer,

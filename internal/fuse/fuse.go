@@ -43,8 +43,8 @@ type Deployment struct {
 // Cut streams carry only the tuple's inline payload words (see
 // internal/xport); graphs whose tuples rely on Ref payloads (for
 // example SPL-compiled graphs) must keep Ref-dependent edges inside one
-// PE.
-func Plan(g *graph.Graph, parts int, cfg pe.Config) (*Deployment, error) {
+// PE. On error every boundary listener it opened is closed again.
+func Plan(g *graph.Graph, parts int, cfg pe.Config) (_ *Deployment, err error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("fuse: parts must be positive")
 	}
@@ -77,6 +77,14 @@ func Plan(g *graph.Graph, parts int, cfg pe.Config) (*Deployment, error) {
 	type cutKey struct{ node, port, dstPart int }
 	type cutVal struct{ importNode int } // Import's node ID in dstPart
 	cuts := map[cutKey]cutVal{}
+	var listeners []net.Listener
+	defer func() {
+		if err != nil {
+			for _, ln := range listeners {
+				ln.Close()
+			}
+		}
+	}()
 
 	for _, n := range g.Nodes {
 		srcPart := partOf[n.ID]
@@ -99,6 +107,7 @@ func Plan(g *graph.Graph, parts int, cfg pe.Config) (*Deployment, error) {
 						return nil, fmt.Errorf("fuse: boundary listener for %s:%d pe%d→pe%d: %w",
 							n.Op.Name(), outPort, srcPart, dstPart, err)
 					}
+					listeners = append(listeners, ln)
 					addr := ln.Addr().String()
 					// The name carries the PE pair so a failed boundary is
 					// identifiable from Err alone. The dial is one bounded

@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -165,6 +166,31 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if len(d.PEs) != len(g.Nodes) {
 		t.Fatalf("clamped to %d PEs, want %d", len(d.PEs), len(g.Nodes))
+	}
+}
+
+// TestPlanErrorClosesListeners: a configuration pe.New rejects fails
+// Plan after the boundary listeners are open; Plan must close them, or a
+// long-lived process leaks a socket per cut stream per failed attempt.
+// The open descriptors are counted in /proc/self/fd.
+func TestPlanErrorClosesListeners(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(fds)
+	}
+	g, _ := pipelineGraph(t, 5, 1)
+	before := openFDs()
+	const attempts = 20
+	for i := 0; i < attempts; i++ {
+		if _, err := Plan(g, 3, pe.Config{QueueCap: 48}); err == nil {
+			t.Fatal("Plan accepted QueueCap 48")
+		}
+	}
+	if after := openFDs(); after >= before+attempts {
+		t.Fatalf("%d failed Plans left %d descriptors open (%d before)", attempts, after, before)
 	}
 }
 

@@ -152,8 +152,11 @@ func TestAttributeFreeListPressure(t *testing.T) {
 }
 
 // buildSkewedPE runs an open-loop pipeline with one deliberately slow
-// stage: Src → Fast → Slow → Fast2 → Snk, chaining disabled so the
-// queues carry the real occupancy signal.
+// stage: Src → Fast → Slow → Fast2 → Snk. Fast's stream also feeds a
+// tap sink, which makes the Fast→Slow edge statically unchainable
+// (graph.InPort.Chainable): Slow never runs inline under Fast's drain,
+// so that edge's queue carries the real occupancy and back-pressure
+// signal.
 func buildSkewedPE(t testing.TB, slowCost int) *pe.PE {
 	t.Helper()
 	b := graph.NewBuilder()
@@ -162,6 +165,7 @@ func buildSkewedPE(t testing.TB, slowCost int) *pe.PE {
 	b.Connect(src, 0, f1, 0)
 	slow := b.AddNode(&ops.Worker{OpName: "Slow", Cost: slowCost}, 1, 1)
 	b.Connect(f1, 0, slow, 0)
+	b.Connect(f1, 0, b.AddNode(&ops.Sink{OpName: "Tap"}, 1, 0), 0)
 	f2 := b.AddNode(&ops.Worker{OpName: "Fast2", Cost: 1}, 1, 1)
 	b.Connect(slow, 0, f2, 0)
 	sn := b.AddNode(&ops.Sink{}, 1, 0)
@@ -170,10 +174,7 @@ func buildSkewedPE(t testing.TB, slowCost int) *pe.PE {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pe.New(g, pe.Config{
-		Model: pe.Dynamic, Threads: 2, MaxThreads: 2,
-		Sched: sched.Config{DisableChain: true},
-	})
+	p, err := pe.New(g, pe.Config{Model: pe.Dynamic, Threads: 2, MaxThreads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

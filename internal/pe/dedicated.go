@@ -36,9 +36,6 @@ type dedicatedRunner struct {
 const dedicatedBackoffMax = 10 * time.Millisecond
 
 func newDedicatedRunner(g *graph.Graph, core *exec.Core, queueCap int, inj *fault.Injector, stamp bool) *dedicatedRunner {
-	if queueCap == 0 {
-		queueCap = 64
-	}
 	r := &dedicatedRunner{
 		g:      g,
 		core:   core,

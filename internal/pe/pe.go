@@ -241,6 +241,15 @@ func (cfg Config) withDefaults() (Config, error) {
 		cfg.MaxThreads = runtime.NumCPU()
 	}
 	sc.MaxThreads = max(cfg.MaxThreads, cfg.Threads)
+	// Resolved and checked here for every model, so both runners receive
+	// a valid capacity (the queue constructors panic on any other).
+	if cfg.QueueCap == 0 {
+		cfg.QueueCap = 64
+	}
+	if q := cfg.QueueCap; q < 1 || q&(q-1) != 0 {
+		err = errors.Join(err, fmt.Errorf("pe: QueueCap %d is not a positive power of two", q))
+	}
+	sc.QueueCap = cfg.QueueCap
 	return cfg, err
 }
 
@@ -312,9 +321,8 @@ func (pe *PE) Start() error {
 
 // adaptLoop is the elasticity driver: every AdaptPeriod it measures the
 // PE-wide throughput, verifies that last period's thread actions took
-// effect, and applies the controller's decision. The controller runs the
-// product's policy: geometric level growth (Fig. 11's quick ramp-up),
-// the 5% sensitivity, and a trust wipe on every workload change (§4.2).
+// effect, and applies the controller's decision (the product's policy;
+// see internal/elastic).
 func (pe *PE) adaptLoop() {
 	defer pe.adaptWG.Done()
 	dyn := pe.runner.(*dynamicRunner)
@@ -322,7 +330,6 @@ func (pe *PE) adaptLoop() {
 		MinLevel:      dyn.s.MinLevel(),
 		MaxLevel:      dyn.s.MaxLevel(),
 		CPUAcceptable: cpuutil.NewGate(pe.cfg.CPUUsage, 0).Acceptable,
-		Geometric:     true,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("pe: elastic config invalid: %v", err)) // unreachable: inputs validated in New

@@ -2,114 +2,12 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"streams/internal/graph"
 	"streams/internal/ops"
-	"streams/internal/tuple"
 )
-
-// closedLoopSource is the load generator for the chain benchmark: it
-// admits a new tuple only when fewer than window tuples are in flight
-// (submitted but not yet counted by the sink). Open-loop generation
-// floods every queue and pushes all tuple movement through the
-// reSchedule congestion path, which never chains and is itself
-// run-to-completion; the bounded window keeps the scheduler in the
-// uncongested hand-off regime — queues shallow, pushes landing on the
-// clean path — which is exactly the per-hop cost chaining bypasses.
-type closedLoopSource struct {
-	limit  uint64
-	window uint64
-	snk    *ops.Sink
-}
-
-func (c *closedLoopSource) Name() string                              { return "ClosedSrc" }
-func (c *closedLoopSource) Process(graph.Submitter, tuple.Tuple, int) {}
-func (c *closedLoopSource) Run(out graph.Submitter, stop <-chan struct{}) {
-	for i := uint64(0); i < c.limit; i++ {
-		for i-c.snk.Count() >= c.window {
-			runtime.Gosched()
-			select {
-			case <-stop:
-				return
-			default:
-			}
-		}
-		out.Submit(tuple.NewData(i), 0)
-	}
-}
-
-// benchPipelineGraph builds Src -> Worker×depth -> Snk with a
-// closed-loop source, the paper's pure-pipeline topology (§5.2) at w=1.
-func benchPipelineGraph(b *testing.B, depth int, src0 graph.Source, snk *ops.Sink) *graph.Graph {
-	b.Helper()
-	gb := graph.NewBuilder()
-	src := gb.AddNode(src0.(graph.Operator), 0, 1)
-	prev := src
-	for i := 0; i < depth; i++ {
-		n := gb.AddNode(&ops.Worker{}, 1, 1)
-		gb.Connect(prev, 0, n, 0)
-		prev = n
-	}
-	sn := gb.AddNode(snk, 1, 0)
-	gb.Connect(prev, 0, sn, 0)
-	g, err := gb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
-// BenchmarkPipelineChain is the tentpole measurement for inline chain
-// execution: the pure-pipeline topology at depth {10, 100, 1000} with
-// zero-cost operators, where every scheduler action is hand-off
-// overhead, run with chaining on (default budgets) and off (the
-// -nochain ablation). Load is closed-loop (32 tuples in flight, well
-// under QueueCap) so hand-offs take the clean queue path rather than
-// the congestion path — see closedLoopSource. One worker thread is the
-// honest regime for a single serial pipeline: its width-1 parallelism
-// gives a second thread nothing to do but fail finds and contend on
-// steals. DelayThreshold is lowered for both modes alike so idle
-// back-off sleeps don't drown the per-hop cost under measurement.
-// ns/op is per end-to-end tuple; the tuples/s metric is reported
-// explicitly for the EXPERIMENTS.md table. The chain/depth=1000 row
-// must show ≥1.5× the nochain tuples/s (BENCH_chain.json, make
-// bench-chain).
-func BenchmarkPipelineChain(b *testing.B) {
-	const threads = 1
-	const window = 32
-	for _, mode := range []string{"chain", "nochain"} {
-		for _, depth := range []int{10, 100, 1000} {
-			b.Run(fmt.Sprintf("%s/depth=%d", mode, depth), func(b *testing.B) {
-				snk := &ops.Sink{}
-				src0 := &closedLoopSource{limit: uint64(b.N), window: window, snk: snk}
-				g := benchPipelineGraph(b, depth, src0, snk)
-				s := New(g, Config{
-					MaxThreads:     threads,
-					DisableChain:   mode == "nochain",
-					QueueCap:       256,
-					DelayThreshold: 50 * time.Microsecond,
-				})
-				b.ResetTimer()
-				s.Start(threads)
-				src := g.SourceNodes[0]
-				stop := make(chan struct{})
-				src.Op.(graph.Source).Run(s.SourceSubmitter(src, 0), stop)
-				s.SourceDone(src, 0)
-				s.Wait()
-				b.StopTimer()
-				close(stop)
-				if got := snk.Count(); got != uint64(b.N) {
-					b.Fatalf("sink saw %d tuples, want %d", got, b.N)
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-			})
-		}
-	}
-}
 
 // freeListBenchGraph builds a graph with exactly nPorts input ports
 // (one source fanning out to nPorts sinks) for free-list benchmarks.

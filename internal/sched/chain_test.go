@@ -16,7 +16,7 @@ import (
 // the topology it was built for: a straight pipeline, where every
 // interior port is chainable. The meters must show chain sequences,
 // links and bypassed tuples, and every stop reason must stay consistent
-// with the budgets (links per start never exceeds ChainDepth — that is
+// with the budgets (links per start never exceeds chainDepth — that is
 // what DepthStops exists to enforce).
 func TestChainFiresOnPipeline(t *testing.T) {
 	const n = 20000
@@ -38,62 +38,57 @@ func TestChainFiresOnPipeline(t *testing.T) {
 	}
 }
 
-// TestChainDisabledMetersZero: under DisableChain the chain path must
-// be fully off — correct delivery, correct order, and not a single
-// chain meter moved.
+// TestChainDisabledMetersZero: on a graph the chain path can never
+// enter — every stream tapped, so no port is chainable — chaining must
+// be fully off: correct delivery, correct order, and not a single chain
+// or fused-run meter moved.
 func TestChainDisabledMetersZero(t *testing.T) {
 	const n = 10000
-	for name, cfg := range map[string]Config{
-		"disable-chain": {MaxThreads: 4, DisableChain: true},
-	} {
-		cfg := cfg
-		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			var seen []uint64
-			snk := newOrderSink(&mu, &seen)
-			g := pipelineGraph(t, 15, n, snk)
-			s := runGraph(t, g, cfg, 2)
-			if len(seen) != n {
-				t.Fatalf("saw %d tuples, want %d", len(seen), n)
-			}
-			for i, v := range seen {
-				if v != uint64(i) {
-					t.Fatalf("position %d: tuple %d out of order", i, v)
-				}
-			}
-			if ch := s.Stats().Chain; ch != (metrics.ChainSnapshot{}) {
-				t.Fatalf("chain meters moved with chaining disabled: %+v", ch)
-			}
-		})
-	}
+	t.Run("disable-chain", func(t *testing.T) {
+		var mu sync.Mutex
+		var seen []uint64
+		snk := newOrderSink(&mu, &seen)
+		g := tappedPipelineGraph(t, 15, 0, n, snk)
+		s := runGraph(t, g, Config{MaxThreads: 4}, 2)
+		requireInOrder(t, seen, n)
+		if ch := s.Stats().Chain; ch != (metrics.ChainSnapshot{}) {
+			t.Fatalf("chain meters moved with no chainable port: %+v", ch)
+		}
+		if v := s.Stats().VM; v.FusedRuns != 0 || v.Fallbacks != 0 {
+			t.Fatalf("fused-run meters moved with no chainable port: %+v", v)
+		}
+	})
 }
 
 // TestChainPipelineFIFOProperty sweeps chain depths and queue capacities
 // over a deep pipeline and requires strict global order at the sink: on
 // a single-stream pipeline, per-stream FIFO is total order, so any
 // chain link that overtook a queued tuple would show up as an
-// inversion. Small queue capacities force the mixed regime where some
-// flushes chain and others fall back through PushN/reSchedule.
+// inversion. Depths below the scheduler's chainDepth come from the
+// shape: tapped streams break the pipeline into chainable runs of at
+// most that many links. Small queue capacities force the mixed regime
+// where some flushes chain and others fall back through
+// PushN/reSchedule.
 func TestChainPipelineFIFOProperty(t *testing.T) {
 	const n = 15000
-	for _, depth := range []int{1, 3, 8} {
+	for _, depth := range []int{1, 3, chainDepth} {
 		for _, qcap := range []int{4, 16} {
 			t.Run(fmt.Sprintf("chaindepth=%d/qcap=%d", depth, qcap), func(t *testing.T) {
 				var mu sync.Mutex
 				var seen []uint64
 				snk := newOrderSink(&mu, &seen)
 				g := pipelineGraph(t, 30, n, snk)
-				s := runGraph(t, g, Config{MaxThreads: 4, QueueCap: qcap, ChainDepth: depth}, 3)
-				if len(seen) != n {
-					t.Fatalf("saw %d tuples, want %d", len(seen), n)
+				if depth < chainDepth {
+					g = tappedPipelineGraph(t, 30, depth, n, snk)
 				}
-				for i, v := range seen {
-					if v != uint64(i) {
-						t.Fatalf("position %d: tuple %d out of order", i, v)
-					}
+				s := runGraph(t, g, Config{MaxThreads: 4, QueueCap: qcap}, 3)
+				requireInOrder(t, seen, n)
+				ch := s.Stats().Chain
+				if ch.Links == 0 {
+					t.Errorf("chain never fired at depth %d", depth)
 				}
-				if ch := s.Stats().Chain; ch.Links == 0 {
-					t.Errorf("chain never fired at depth budget %d", depth)
+				if depth < chainDepth && ch.DepthStops != 0 {
+					t.Errorf("DepthStops = %d with chainable runs of at most %d links", ch.DepthStops, depth)
 				}
 			})
 		}

@@ -52,14 +52,9 @@ func (e *fusedEmitter) Emit(t tuple.Tuple) { e.ec.Submit(t, 0) }
 // subscriber port is itself chainable with a programmed operator —
 // the same shape the inline chain path exploits, so fusion piggybacks
 // on chaining's locking discipline. Run length is capped at the chain
-// depth (but at least 2: a fused run shorter than 2 is pointless).
+// depth (a fused run shorter than 2 is pointless).
 func (s *Scheduler) buildFusedRuns() {
-	// Always allocated: tryChain and the drain loops index it
-	// unconditionally.
 	s.fusedRuns = make([]*fusedRun, len(s.g.Ports))
-	if s.chainDepth <= 0 {
-		return
-	}
 	progOf := func(n *graph.Node) *vm.Program {
 		if pr, ok := n.Op.(vm.Programmed); ok {
 			return pr.VMProgram()
@@ -74,10 +69,6 @@ func (s *Scheduler) buildFusedRuns() {
 	}
 	if nProgs > 0 {
 		s.vms.Programs.Add(0, uint64(nProgs))
-	}
-	maxLen := s.chainDepth
-	if maxLen < 2 {
-		maxLen = 2
 	}
 	// @parallel replicas share their program, so the runs rooted at the
 	// replicas of one stage fuse the same programs: fuse and plan each
@@ -97,7 +88,7 @@ func (s *Scheduler) buildFusedRuns() {
 		var ports []int32
 		var nodes []*graph.Node
 		p := entry
-		for len(progs) < maxLen {
+		for len(progs) < chainDepth {
 			prog := progOf(p.Node)
 			if prog == nil || p.Node.NumOut != 1 {
 				break
@@ -123,14 +114,11 @@ func (s *Scheduler) buildFusedRuns() {
 			pl := fusedPlan{progs: progs}
 			if fused, err := vm.Fuse(progs); err == nil {
 				pl.fused = fused
-				if !s.cfg.DisableVec {
-					// Vectorizability is decided once per fused program; a
-					// nil plan (side-effectful builtins, loops, multi-emit
-					// segments, lists) keeps the run on the scalar dispatch
-					// loop.
-					if vp, err := vm.PlanVec(fused); err == nil {
-						pl.vec = vp
-					}
+				// Vectorizability is decided once per fused program; a nil
+				// plan (side-effectful builtins, loops, multi-emit segments,
+				// lists) keeps the run on the scalar dispatch loop.
+				if vp, err := vm.PlanVec(fused); err == nil {
+					pl.vec = vp
 				}
 			}
 			pi, plans = len(plans), append(plans, pl)
@@ -218,12 +206,7 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 		// metered separately (VecAborts, charged in vecCompute) so
 		// recurring per-batch faults — which pay vec compute AND the
 		// scalar replay — are distinguishable from benign declines.
-		// Under the -novec ablation nothing is metered: the fall-back
-		// counter measures the vectorizer's declines, not the
-		// ablation's.
-		if !s.cfg.DisableVec {
-			s.vms.VecFallbacks.Add(tid, 1)
-		}
+		s.vms.VecFallbacks.Add(tid, 1)
 		fr.mach.Reset(fr.prog)
 		for i := range batch {
 			s.runFusedTuple(fr, batch[i], tid)
@@ -261,7 +244,7 @@ func (s *Scheduler) lockFusedRun(c *ctx, fr *fusedRun, batch []tuple.Tuple, atDe
 		return false
 	}
 	// Source threads own no Thread and so no tuple allowance; their
-	// drains are bounded by ReschedLimit instead. Tested before the
+	// drains are bounded by reschedLimit instead. Tested before the
 	// flush below, which may chain and draw on the allowance: what it
 	// moves is the previous batch's work.
 	if thr := c.thr; thr != nil && len(batch)*len(fr.ports) > thr.chainBudget {

@@ -24,7 +24,7 @@ import (
 // stuck push can never land on its own, and the destination operator
 // flips the thread's suspension flag mid-drain.
 func TestReschedSuspensionReleasesLock(t *testing.T) {
-	const qcap = 8
+	const qcap = 4
 	var executed atomic.Int64
 	var thr *Thread
 	b := graph.NewBuilder()
@@ -41,9 +41,10 @@ func TestReschedSuspensionReleasesLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ReschedLimit 1 bounds each lock hold to two tuples, so the
-	// suspension set on tuple 2 is observed at the first batch boundary.
-	s := New(g, Config{QueueCap: qcap, ReschedLimit: 1, MaxThreads: 1})
+	// Capacity 4 makes the reSchedule limit qcap/4 = 1, bounding each
+	// lock hold to two tuples, so the suspension set on tuple 2 is
+	// observed at the first batch boundary.
+	s := New(g, Config{QueueCap: qcap, MaxThreads: 1})
 	thr = s.threads[0]
 	port := int32(g.Ports[0].ID)
 	q := s.queues[port]

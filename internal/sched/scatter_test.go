@@ -61,23 +61,26 @@ func (r *streamRecorder) OnPunct(_ graph.Submitter, k tuple.Kind, _ int) {
 
 // splitGraph is SliceSource(input) -> routeSplit -> width recorders, with
 // runLen programmed forwarding workers (a fusable run when runLen >= 2)
-// between each split output and its recorder.
-func splitGraph(t *testing.T, input []tuple.Tuple, width, runLen int, route func(uint64) int) (*graph.Graph, []*streamRecorder) {
+// between each split output and its recorder. With tap set, every
+// stream also feeds a shared tap sink, so no port is chainable and no
+// run fuses.
+func splitGraph(t *testing.T, input []tuple.Tuple, width, runLen int, route func(uint64) int, tap bool) (*graph.Graph, []*streamRecorder) {
 	t.Helper()
 	b := graph.NewBuilder()
+	connect := tapConnect(b, tap)
 	src := b.AddNode(&ops.SliceSource{Tuples: input}, 0, 1)
 	split := b.AddNode(&routeSplit{width: width, route: route}, 1, width)
-	b.Connect(src, 0, split, 0)
+	connect(src, 0, split)
 	recs := make([]*streamRecorder, width)
 	for w := range recs {
 		prev, prevPort := split, w
 		for i := 0; i < runLen; i++ {
 			n := b.AddNode(&ops.Worker{Prog: ops.WorkerProgram("W", 0)}, 1, 1)
-			b.Connect(prev, prevPort, n, 0)
+			connect(prev, prevPort, n)
 			prev, prevPort = n, 0
 		}
 		recs[w] = &streamRecorder{}
-		b.Connect(prev, prevPort, b.AddNode(recs[w], 1, 0), 0)
+		connect(prev, prevPort, b.AddNode(recs[w], 1, 0))
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -89,8 +92,9 @@ func splitGraph(t *testing.T, input []tuple.Tuple, width, runLen int, route func
 // TestScatterPerStreamFIFO runs a round-robin and a skewed split, window
 // punctuation interleaved, through the slot table under the default
 // configuration, with queues small enough that slot flushes keep meeting
-// full queues (partial PushN, then push/reSchedule), and with chaining
-// off. Every output stream must deliver exactly the tuples routed to it,
+// full queues (partial PushN, then push/reSchedule), and on a shape with
+// chaining off (every stream tapped, so no port is chainable). Every
+// output stream must deliver exactly the tuples routed to it,
 // in order, with each window mark in position and sequence numbers
 // contiguous — including on a fan-out wider than the slot table, where
 // destinations share slots and evict each other, and with a fused run on
@@ -113,10 +117,13 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 		}},
 		"wide-wrap": {3 * maxSlots, func(v uint64) int { return int(v * 7 % (3 * maxSlots)) }},
 	}
-	cfgs := map[string]Config{
-		"default":    {MaxThreads: 4},
-		"queue-full": {MaxThreads: 4, QueueCap: 4},
-		"no-chain":   {MaxThreads: 4, QueueCap: 16, DisableChain: true},
+	cfgs := map[string]struct {
+		cfg Config
+		tap bool
+	}{
+		"default":    {Config{MaxThreads: 4}, false},
+		"queue-full": {Config{MaxThreads: 4, QueueCap: 4}, false},
+		"no-chain":   {Config{MaxThreads: 4, QueueCap: 16}, true},
 	}
 	input := make([]tuple.Tuple, 0, n+n/97+1)
 	for i := uint64(0); i < n; i++ {
@@ -137,15 +144,15 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 				want[w] = append(want[w], tp.Words[0])
 			}
 		}
-		for cname, cfg := range cfgs {
+		for cname, c := range cfgs {
 			for _, runLen := range []int{0, 3} {
 				name := rname + "/" + cname
 				if runLen > 0 {
 					name += "/fused-run"
 				}
 				t.Run(name, func(t *testing.T) {
-					g, recs := splitGraph(t, input, r.width, runLen, r.route)
-					s := runGraph(t, g, cfg, 3)
+					g, recs := splitGraph(t, input, r.width, runLen, r.route, c.tap)
+					s := runGraph(t, g, c.cfg, 3)
 					for w, rec := range recs {
 						if len(rec.events) != len(want[w]) {
 							t.Fatalf("port %d: %d events, want %d", w, len(rec.events), len(want[w]))
@@ -168,6 +175,9 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 					}
 					if cname == "queue-full" && s.Reschedules() == 0 {
 						t.Error("capacity-4 queues never pushed a slot flush into reSchedule")
+					}
+					if st := s.Stats(); c.tap && (st.Chain.Links != 0 || st.VM.FusedRuns != 0) {
+						t.Errorf("chained %d links and fused %d runs with no chainable port", st.Chain.Links, st.VM.FusedRuns)
 					}
 				})
 			}
@@ -270,6 +280,30 @@ func nodeExecuted(s *Scheduler, id int) uint64 {
 	return counts[id]
 }
 
+// dataParallelGraph is ops.Topology{Width: width, Depth: 1, Limit: n}:
+// Src -> round-robin split -> width workers -> one sink. With tap set,
+// every stream also feeds a shared tap sink, so no port is chainable.
+func dataParallelGraph(t *testing.T, width int, n uint64, tap bool) (*graph.Graph, *ops.Sink) {
+	t.Helper()
+	b := graph.NewBuilder()
+	connect := tapConnect(b, tap)
+	src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
+	split := b.AddNode(&ops.RoundRobinSplit{Width: width}, 1, width)
+	connect(src, 0, split)
+	snk := &ops.Sink{}
+	sn := b.AddNode(snk, 1, 0)
+	for w := 0; w < width; w++ {
+		wk := b.AddNode(&ops.Worker{}, 1, 1)
+		connect(split, w, wk)
+		connect(wk, 0, sn)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, snk
+}
+
 // TestScatterResidencyLive checks the residency property on a running
 // PE: a tuple never outlives the drain that produced it. Whenever the
 // test holds the consumer locks of the splitter and of every worker, no
@@ -279,15 +313,15 @@ func nodeExecuted(s *Scheduler, id int) uint64 {
 // both sides.
 func TestScatterResidencyLive(t *testing.T) {
 	const n, width = 300000, 8
-	for name, cfg := range map[string]Config{
-		"default":  {MaxThreads: 4},
-		"no-chain": {MaxThreads: 4, QueueCap: 8, DisableChain: true},
+	for name, c := range map[string]struct {
+		cfg Config
+		tap bool
+	}{
+		"default":  {Config{MaxThreads: 4}, false},
+		"no-chain": {Config{MaxThreads: 4, QueueCap: 8}, true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			g, snk, err := ops.Topology{Width: width, Depth: 1, Limit: n}.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			g, snk := dataParallelGraph(t, width, n, c.tap)
 			var split *graph.Node
 			var workers []*graph.Node
 			for _, nd := range g.Nodes {
@@ -298,7 +332,7 @@ func TestScatterResidencyLive(t *testing.T) {
 					workers = append(workers, nd)
 				}
 			}
-			s := New(g, cfg)
+			s := New(g, c.cfg)
 			ports := []int{split.InPorts[0]}
 			for _, w := range workers {
 				ports = append(ports, w.InPorts[0])

@@ -43,44 +43,16 @@ import (
 )
 
 // Config parametrizes a Scheduler. The zero value selects the defaults
-// the product uses where the paper reports them.
+// the product uses where the paper reports them; the paper's other
+// settings are fixed (see reschedLimit, delayThreshold, chainDepth and
+// the shard capacity in New).
 type Config struct {
 	// QueueCap is the per-input-port queue capacity; it must be a power
 	// of two. Default 64.
 	QueueCap int
-	// ReschedLimit bounds how many tuples a pushing thread drains from a
-	// full queue before retrying its push. Default QueueCap/4, the
-	// product's setting (§4.1.4).
-	ReschedLimit int
-	// DelayThreshold caps the exponential back-off when no work is
-	// found. Default 10ms, the product's setting (§4.1.3).
-	DelayThreshold time.Duration
 	// MaxThreads is the size of the scheduler thread table, the largest
 	// thread level elasticity may reach. Default runtime.NumCPU().
 	MaxThreads int
-	// ShardCap is the capacity of each thread's local free-port cache
-	// under the sharded free list; it must be a power of two. Default:
-	// the global list's capacity, capped at 256 — large enough that
-	// typical graphs never spill, small enough that a thread cannot pin
-	// memory proportional to a huge port set.
-	ShardCap int
-
-	// ChainDepth bounds how many consecutive downstream operators one
-	// thread may execute inline through the chain path before falling
-	// back to the queue: when a coalesced batch flushes to a chainable
-	// port (graph.InPort.Chainable) whose consumer try-lock this thread
-	// wins and whose queue is empty, the thread runs the downstream
-	// operator directly — no push, no free-list hint cycle, no
-	// cross-thread wake. Default 8.
-	ChainDepth int
-	// DisableChain turns the inline chain-execution path off entirely
-	// (the -nochain ablation): every flush goes through the queues as in
-	// the paper's original design.
-	DisableChain bool
-	// DisableVec turns vectorized batch-at-a-time execution off (the
-	// -novec ablation): fused runs keep their superinstruction form
-	// but always dispatch the scalar per-tuple loop.
-	DisableVec bool
 
 	// Fault optionally installs a chaos injector at the scheduler's
 	// seams (operator execution, queue pushes). Nil — the default —
@@ -134,29 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueCap < 1 || c.QueueCap&(c.QueueCap-1) != 0 {
 		panic(fmt.Sprintf("sched: QueueCap %d is not a positive power of two", c.QueueCap))
 	}
-	if c.ReschedLimit == 0 {
-		c.ReschedLimit = c.QueueCap / 4
-	}
-	if c.ReschedLimit < 1 {
-		c.ReschedLimit = 1
-	}
-	if c.DelayThreshold == 0 {
-		c.DelayThreshold = 10 * time.Millisecond
-	}
 	if c.MaxThreads == 0 {
 		c.MaxThreads = runtime.NumCPU()
-	}
-	if c.ShardCap != 0 && (c.ShardCap < 1 || c.ShardCap&(c.ShardCap-1) != 0) {
-		panic(fmt.Sprintf("sched: ShardCap %d is not a positive power of two", c.ShardCap))
-	}
-	if c.ChainDepth == 0 {
-		c.ChainDepth = 8
-	}
-	if c.ChainDepth < 0 {
-		panic(fmt.Sprintf("sched: ChainDepth %d is negative", c.ChainDepth))
-	}
-	if c.DisableChain {
-		c.ChainDepth = 0
 	}
 	if c.ShutdownTimeout == 0 {
 		c.ShutdownTimeout = 60 * time.Second
@@ -166,6 +117,26 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// delayThreshold caps the exponential back-off when no work is found:
+// the product's 10ms (§4.1.3).
+const delayThreshold = 10 * time.Millisecond
+
+// chainDepth bounds how many consecutive downstream operators one
+// thread may execute inline through the chain path before falling back
+// to the queue: when a coalesced batch flushes to a chainable port
+// (graph.InPort.Chainable) whose consumer try-lock this thread wins and
+// whose queue is empty, the thread runs the downstream operator
+// directly — no push, no free-list hint cycle, no cross-thread wake.
+// It also caps the length of a fused run.
+const chainDepth = 8
+
+// maxShardHints caps each thread's local free-port cache under the
+// sharded free list. New sizes the shards to the global list's capacity
+// up to this cap: large enough that typical graphs never spill, small
+// enough that a thread cannot pin memory proportional to a huge port
+// set.
+const maxShardHints = 256
 
 // Scheduler executes a stream graph with a dynamically sized pool of
 // threads, any of which can execute any operator input port.
@@ -177,6 +148,10 @@ type Scheduler struct {
 
 	g   *graph.Graph
 	cfg Config
+	// reschedLimit bounds how many tuples a pushing thread drains from a
+	// full queue before retrying its push: QueueCap/4 (at least 1), the
+	// product's setting (§4.1.4).
+	reschedLimit int
 
 	// queues is the paper's queuesTable: written once at initialization,
 	// read-only afterwards, indexed by global input-port ID.
@@ -248,20 +223,18 @@ type Scheduler struct {
 	// Inline chain execution (DESIGN.md "Inline chain execution").
 	// chainable caches graph.InPort.Chainable per port ID so the flush
 	// hot path pays one slice load for the static half of the chain
-	// test; chainDepth is the resolved link budget and chainBudget0 the
-	// tuple allowance of one top-level batch — chainDepth × batchCap,
-	// exactly enough for a full batch to chain to full depth, so
-	// operators that amplify their input cannot extend a drain
-	// unboundedly and elastic suspension stays prompt (both 0 when
-	// chaining is disabled); chains holds the sharded meters.
+	// test; chainBudget0 is the tuple allowance of one top-level batch —
+	// chainDepth × batchCap, exactly enough for a full batch to chain to
+	// full depth, so operators that amplify their input cannot extend a
+	// drain unboundedly and elastic suspension stays prompt; chains holds
+	// the sharded meters.
 	chainable    []bool
-	chainDepth   int
 	chainBudget0 int
 	chains       *metrics.Chain
 
 	// Fused superinstruction dispatch (fused.go). fusedRuns holds the
-	// precomputed run per entry port (nil = none, including when
-	// chaining is off); vms holds the sharded meters.
+	// precomputed run per entry port (nil = none); vms holds the sharded
+	// meters.
 	fusedRuns []*fusedRun
 	vms       *metrics.VM
 
@@ -288,13 +261,7 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	for listCap < nPorts+1 {
 		listCap *= 2
 	}
-	shardCap := cfg.ShardCap
-	if shardCap == 0 {
-		shardCap = listCap
-		if shardCap > 256 {
-			shardCap = 256
-		}
-	}
+	shardCap := min(listCap, maxShardHints)
 	batchCap := cfg.QueueCap
 	if batchCap > 32 {
 		batchCap = 32
@@ -305,6 +272,7 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 	s := &Scheduler{
 		g:             g,
 		cfg:           cfg,
+		reschedLimit:  max(cfg.QueueCap/4, 1),
 		useShards:     !cfg.GlobalFreeList,
 		batchCap:      batchCap,
 		queues:        make([]*lfq.Enforcer[tuple.Tuple], nPorts),
@@ -320,8 +288,7 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		portResched:   make([]atomic.Uint64, nPorts),
 		portBlockedNs: make([]atomic.Uint64, nPorts),
 		chainable:     make([]bool, nPorts),
-		chainDepth:    cfg.ChainDepth,
-		chainBudget0:  cfg.ChainDepth * batchCap,
+		chainBudget0:  chainDepth * batchCap,
 		chains:        metrics.New[metrics.Chain](writers),
 		vms:           metrics.New[metrics.VM](writers),
 		inj:           cfg.Fault,
@@ -586,11 +553,11 @@ type ctx struct {
 	slots    []slot
 
 	// chainLeft is how many more inline chain links this frame's
-	// flushes may open: Config.ChainDepth on a top-level drain frame,
+	// flushes may open: chainDepth on a top-level drain frame,
 	// parent-1 on chained frames (0 = depth exhausted, metered), -1 on
 	// reSchedule frames, which never chain. Checked by deliver before
-	// any dynamic chain test, so disabled chaining costs one integer
-	// compare per flush.
+	// any dynamic chain test, so a frame that may not chain pays one
+	// integer compare per flush.
 	chainLeft int
 
 	// nextFree chains recycled contexts on their thread's free list
@@ -734,7 +701,7 @@ func (c *ctx) deliver(port int32, batch []tuple.Tuple) {
 		if s.tryChain(c, port, batch) {
 			return
 		}
-	} else if c.chainLeft == 0 && s.chainDepth > 0 && c.thr != nil && s.chainable[port] {
+	} else if c.chainLeft == 0 && c.thr != nil && s.chainable[port] {
 		// A chainable destination reached with the link budget spent:
 		// meter the depth stop so chain-length tuning has data. Only a
 		// depth-exhausted chained frame can get here — source frames
@@ -844,7 +811,7 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 	}
 	// Execute the batch as if it had been drained here.
 	thr.chainBudget -= len(batch)
-	depth := s.chainDepth - c.chainLeft + 1
+	depth := chainDepth - c.chainLeft + 1
 	if depth == 1 {
 		s.chains.Starts.Add(tid, 1)
 	}
@@ -921,19 +888,18 @@ func (c *ctx) suspendedNow() bool {
 // yield the processor (the common case — a lock holder or an MPMC slot
 // in transit resolves within a scheduling quantum), after which each
 // wait sleeps with the §4.1.3 exponential back-off, 1µs growing ×10 up
-// to the configured DelayThreshold.
+// to delayThreshold.
 type backoff struct {
 	spins int
 	delay time.Duration
-	max   time.Duration
 }
 
 // backoffSpinBudget is how many waits yield before the sleeps start —
 // the same budget the global free-list push has always used.
 const backoffSpinBudget = 8
 
-func (s *Scheduler) newBackoff() backoff {
-	return backoff{delay: time.Microsecond, max: s.cfg.DelayThreshold}
+func newBackoff() backoff {
+	return backoff{delay: time.Microsecond}
 }
 
 // wait performs one wait step and returns.
@@ -944,7 +910,7 @@ func (b *backoff) wait() {
 		return
 	}
 	block(b.delay)
-	if b.delay < b.max {
+	if b.delay < delayThreshold {
 		b.delay *= 10
 	}
 }
@@ -1015,10 +981,10 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 				ec = s.acquireCtx(p, c.tid, c.thr)
 				ec.chainLeft = -1
 			}
-			// Drain at most ReschedLimit+1 tuples (the pre-batching bound)
+			// Drain at most reschedLimit+1 tuples (the pre-batching bound)
 			// in batches, charging locks, indices and counters per batch.
-			for drained <= s.cfg.ReschedLimit && !c.finished() && !c.suspendedNow() {
-				want := s.cfg.ReschedLimit + 1 - drained
+			for drained <= s.reschedLimit && !c.finished() && !c.suspendedNow() {
+				want := s.reschedLimit + 1 - drained
 				if want > len(buf) {
 					want = len(buf)
 				}
@@ -1338,7 +1304,7 @@ func (s *Scheduler) schedule(thr *Thread) {
 			s.tr.Emit(thr.id, trace.KindAcquire, int64(port))
 		}
 		ec := s.acquireCtx(p, thr.id, thr)
-		ec.chainLeft = s.chainDepth
+		ec.chainLeft = chainDepth
 		// findWork popped the first tuple already; complete its batch.
 		thr.batch[0] = t
 		n := 1 + q.Queue().PopN(thr.batch[1:])
@@ -1394,7 +1360,7 @@ func (s *Scheduler) findWorkBlocking(t *tuple.Tuple, thr *Thread) bool {
 		}
 		s.findFails.Add(thr.id, 1)
 		block(delay)
-		if delay < s.cfg.DelayThreshold {
+		if delay < delayThreshold {
 			delay *= 10
 		}
 	}
@@ -1593,7 +1559,7 @@ func (s *Scheduler) makePortFree(port int32, thr *Thread) {
 // busy-spinning forever on a contended CAS. The push itself can never
 // be abandoned — dropping the hint would strand the port.
 func (s *Scheduler) pushGlobalFree(port int32, tid int) {
-	b := s.newBackoff()
+	b := newBackoff()
 	for {
 		if s.freePorts.PushEx(port) == lfq.PushOK {
 			return

@@ -69,6 +69,54 @@ func pipelineGraph(t *testing.T, depth int, limit uint64, snk *ops.Sink) *graph.
 	return g
 }
 
+// tapConnect returns a connect function for b's single-input-port
+// destinations that, when tap is set, also feeds every stream it
+// connects to one shared tap sink. A stream with two subscribers makes
+// both destination ports unchainable (graph.InPort.Chainable), so a
+// graph whose streams are all tapped never chains and never fuses.
+func tapConnect(b *graph.Builder, tap bool) func(from, fromPort, to int) {
+	tapNode := -1
+	return func(from, fromPort, to int) {
+		b.Connect(from, fromPort, to, 0)
+		if tap {
+			if tapNode < 0 {
+				tapNode = b.AddNode(&ops.Sink{OpName: "Tap"}, 1, 0)
+			}
+			b.Connect(from, fromPort, tapNode, 0)
+		}
+	}
+}
+
+// tappedPipelineGraph is pipelineGraph with stream k (0 is the
+// source's) tapped (see tapConnect) when k is a multiple of maxRun+1, so
+// no chain can run more than maxRun links; maxRun 0 leaves no port
+// chainable at all.
+func tappedPipelineGraph(t *testing.T, depth, maxRun int, limit uint64, snk *ops.Sink) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder()
+	plain, tapped := tapConnect(b, false), tapConnect(b, true)
+	prev := b.AddNode(&ops.Generator{Limit: limit}, 0, 1)
+	for k := 0; k <= depth; k++ {
+		var n int
+		if k < depth {
+			n = b.AddNode(&ops.Worker{}, 1, 1)
+		} else {
+			n = b.AddNode(snk, 1, 0)
+		}
+		if k%(maxRun+1) == 0 {
+			tapped(prev, 0, n)
+		} else {
+			plain(prev, 0, n)
+		}
+		prev = n
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestPipelineDeliversAll(t *testing.T) {
 	const n = 20000
 	snk := &ops.Sink{}
@@ -437,7 +485,7 @@ func TestConfigValidation(t *testing.T) {
 	g := pipelineGraph(t, 1, 1, &ops.Sink{})
 	for name, cfg := range map[string]Config{
 		"non-power-of-two QueueCap": {QueueCap: 3},
-		"negative ChainDepth":       {ChainDepth: -1},
+		"negative QueueCap":         {QueueCap: -4},
 	} {
 		func() {
 			defer func() {

@@ -13,16 +13,16 @@ import (
 )
 
 // TestShardedResizeNoStrandedPorts churns the thread level across its
-// whole range while a wide data-parallel graph runs, with shards small
-// enough to force spills, and asserts that every tuple is delivered:
+// whole range while a data-parallel graph wider than the shard capacity
+// runs, so shards spill, and asserts that every tuple is delivered:
 // a port hint stranded in a suspended thread's shard would stall the
 // drain and fail the runGraph timeout, and a lost or duplicated hint
 // shows up as a wrong sink count. Run under -race this doubles as the
 // concurrency check on the drain-vs-steal protocol.
 func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	const (
-		n     = 30000
-		width = 24
+		n     = 100000
+		width = 1000
 	)
 	b := graph.NewBuilder()
 	src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
@@ -40,9 +40,13 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ShardCap 4 on a 26-port graph guarantees local caches overflow and
-	// the spill path runs; MaxThreads 6 gives the resize walk room.
-	s := New(g, Config{MaxThreads: 6, QueueCap: 16, ShardCap: 4})
+	// 1002 ports are more than the 256-hint shards of any three running
+	// threads can hold, so the spill path runs; MaxThreads 6 gives the
+	// resize walk room.
+	s := New(g, Config{MaxThreads: 6, QueueCap: 16})
+	if c := s.shards[0].Cap(); c >= len(g.Ports) {
+		t.Fatalf("shard capacity %d holds all %d ports; the spill path is unreachable", c, len(g.Ports))
+	}
 	s.Start(2)
 
 	var wg sync.WaitGroup
@@ -96,7 +100,7 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	}
 	cont := s.Stats().Contention
 	if cont.Spill == 0 {
-		t.Errorf("ShardCap 4 on %d ports produced no spills; spill path untested", len(g.Ports))
+		t.Errorf("%d ports over %d-hint shards produced no spills; spill path untested", len(g.Ports), s.shards[0].Cap())
 	}
 	t.Logf("contention after churn: %+v", cont)
 }
@@ -109,7 +113,7 @@ func TestShardedDrainOnShutdown(t *testing.T) {
 	const n = 5000
 	snk := &ops.Sink{}
 	g := pipelineGraph(t, 8, n, snk)
-	s := runGraph(t, g, Config{MaxThreads: 4, ShardCap: 8}, 3)
+	s := runGraph(t, g, Config{MaxThreads: 4}, 3)
 	if got := snk.Count(); got != n {
 		t.Fatalf("sink saw %d tuples, want %d", got, n)
 	}

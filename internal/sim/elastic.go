@@ -28,9 +28,6 @@ type ElasticConfig struct {
 	Seed int64
 	// MinLevel is the deadlock-avoidance floor (1 + max input ports).
 	MinLevel int
-	// RememberHistory selects the controller's remember-history mode
-	// (the §5.4 oscillation fix) instead of the paper's trust wipe.
-	RememberHistory bool
 	// SwitchAtSec, when positive, switches the workload to SwitchTo at
 	// that simulated time — the §4.2.3 scenario where untrusting data
 	// after a load change "will cause us to find new settling points".
@@ -53,12 +50,7 @@ func RunElastic(mo Model, cfg ElasticConfig) []TracePoint {
 		cfg.MinLevel = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	ctl, err := elastic.New(elastic.Config{
-		MinLevel:        cfg.MinLevel,
-		MaxLevel:        mo.M.LogicalCores(),
-		Geometric:       true,
-		RememberHistory: cfg.RememberHistory,
-	})
+	ctl, err := elastic.New(elastic.Config{MinLevel: cfg.MinLevel, MaxLevel: mo.M.LogicalCores()})
 	if err != nil {
 		panic(err) // unreachable: inputs are validated above
 	}

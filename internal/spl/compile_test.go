@@ -267,32 +267,33 @@ composite Main {
 	}
 }
 
-func TestCompileErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"unknown operator", `
+// compileErrorCases are sources Compile must reject, with a fragment of
+// the error each must produce; they also seed FuzzCompile.
+var compileErrorCases = []struct {
+	name, src, want string
+}{
+	{"unknown operator", `
 composite Main { graph
   stream<int64 i> X = Nonsense() {}
   () as S = FileSink(X) { param file: "x"; }
 }`, "unknown operator"},
-		{"unknown stream", `
+	{"unknown stream", `
 composite Main { graph
   () as S = FileSink(Ghost) { param file: "x"; }
 }`, "unknown input stream"},
-		{"undefined attr", `
+	{"undefined attr", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 i> F = Filter(N) { param filter: missing > 0; }
   () as S = FileSink(F) { param file: "x"; }
 }`, "undefined name"},
-		{"filter not boolean", `
+	{"filter not boolean", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 i> F = Filter(N) { param filter: i + 1; }
   () as S = FileSink(F) { param file: "x"; }
 }`, "want boolean"},
-		{"submit bad attribute", `
+	{"submit bad attribute", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 j> C = Custom(N) {
@@ -300,7 +301,7 @@ composite Main { graph
   }
   () as S = FileSink(C) { param file: "x"; }
 }`, "no attribute"},
-		{"submit wrong stream", `
+	{"submit wrong stream", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 i> C = Custom(N) {
@@ -308,7 +309,7 @@ composite Main { graph
   }
   () as S = FileSink(C) { param file: "x"; }
 }`, "not an output stream"},
-		{"assign immutable", `
+	{"assign immutable", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 i> C = Custom(N) {
@@ -316,7 +317,7 @@ composite Main { graph
   }
   () as S = FileSink(C) { param file: "x"; }
 }`, "declare it 'mutable'"},
-		{"duplicate composite", `
+	{"duplicate composite", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   () as S = FileSink(N) { param file: "x"; }
@@ -325,25 +326,32 @@ composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   () as S = FileSink(N) { param file: "x"; }
 }`, "duplicate composite"},
-		{"bad parallel width", `
+	{"bad parallel width", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   @parallel(width=zero)
   stream<int64 i> W = Work(N) { param cost: 1; }
   () as S = FileSink(W) { param file: "x"; }
 }`, "@parallel requires a positive integer width"},
-		{"bad threading model", `
+	{"huge parallel width", `
+composite Main { graph
+  stream<int64 i> N = Beacon() { param iterations: 1; }
+  @parallel(width=900000000)
+  stream<int64 i> W = Work(N) { param cost: 1; }
+  () as S = FileSink(W) { param file: "x"; }
+}`, "exceeds the maximum"},
+	{"bad threading model", `
 @threading(model=magic)
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   () as S = FileSink(N) { param file: "x"; }
 }`, "unknown threading model"},
-		{"unknown param", `
+	{"unknown param", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param wrong: 1; }
   () as S = FileSink(N) { param file: "x"; }
 }`, `no parameter "wrong"`},
-		{"type mismatch in decl", `
+	{"type mismatch in decl", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 i> C = Custom(N) {
@@ -351,7 +359,7 @@ composite Main { graph
   }
   () as S = FileSink(C) { param file: "x"; }
 }`, "cannot initialize"},
-		{"unknown builtin", `
+	{"unknown builtin", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 i> C = Custom(N) {
@@ -359,17 +367,17 @@ composite Main { graph
   }
   () as S = FileSink(C) { param file: "x"; }
 }`, "unknown function"},
-		{"filter type change", `
+	{"filter type change", `
 composite Main { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   stream<int64 j> F = Filter(N) { param filter: true; }
   () as S = FileSink(F) { param file: "x"; }
 }`, "must equal its input type"},
-		{"main with params", `
+	{"main with params", `
 composite Main(output X) { graph
   stream<int64 i> X = Beacon() { param iterations: 1; }
 }`, "must not have input or output parameters"},
-		{"missing main", `
+	{"missing main", `
 composite NotMain { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   () as S = FileSink(N) { param file: "x"; }
@@ -378,8 +386,10 @@ composite AlsoNotMain { graph
   stream<int64 i> N = Beacon() { param iterations: 1; }
   () as S = FileSink(N) { param file: "x"; }
 }`, `main composite "Main" not found`},
-	}
-	for _, tc := range cases {
+}
+
+func TestCompileErrors(t *testing.T) {
+	for _, tc := range compileErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Compile(tc.src, Options{})
 			if err == nil {

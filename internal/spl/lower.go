@@ -280,6 +280,11 @@ func paramMap(inv *Invocation) map[string]*ParamAssign {
 	return m
 }
 
+// maxParallelWidth bounds an @parallel width. Lowering builds one node
+// per replica, so without a bound a one-digit edit to a width would make
+// Compile allocate without limit instead of returning an error.
+const maxParallelWidth = 1 << 12
+
 // parallelWidth extracts the @parallel width (1 when absent).
 func parallelWidth(inv *Invocation) (int, error) {
 	for _, ann := range inv.Annotations {
@@ -289,6 +294,9 @@ func parallelWidth(inv *Invocation) (int, error) {
 		w, err := strconv.Atoi(ann.Args["width"])
 		if err != nil || w < 1 {
 			return 0, errf(ann.Pos, "@parallel requires a positive integer width, got %q", ann.Args["width"])
+		}
+		if w > maxParallelWidth {
+			return 0, errf(ann.Pos, "@parallel width %d exceeds the maximum %d", w, maxParallelWidth)
 		}
 		return w, nil
 	}

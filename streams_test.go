@@ -58,6 +58,30 @@ func TestRunAllModels(t *testing.T) {
 	}
 }
 
+// TestBadQueueCapIsAnError: a queue capacity the queues cannot take is
+// a configuration error under every model and through every entry
+// point, never a panic.
+func TestBadQueueCapIsAnError(t *testing.T) {
+	for _, m := range []streams.Model{streams.ModelManual, streams.ModelDedicated, streams.ModelDynamic} {
+		for _, qcap := range []int{48, 3, -4} {
+			cfg := streams.RunConfig{Model: m, Threads: 2, QueueCap: qcap}
+			top, _ := pipeline(t, 10, 2)
+			g, err := top.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job, err := streams.RunGraph(g, cfg); err == nil {
+				job.Stop()
+				t.Errorf("%v: RunGraph accepted QueueCap %d", m, qcap)
+			}
+			top, _ = pipeline(t, 10, 2)
+			if _, err := streams.Deploy(top, 2, cfg); err == nil {
+				t.Errorf("%v: Deploy accepted QueueCap %d", m, qcap)
+			}
+		}
+	}
+}
+
 func TestTopologyBuildOnce(t *testing.T) {
 	top, _ := pipeline(t, 1, 1)
 	if _, err := top.Build(); err != nil {
