@@ -27,6 +27,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVerifyRun$$' -fuzztime 10s ./internal/vm
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/spl
+	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 10s ./internal/ingest
 
 # chaos runs the deterministic fault-injection soak under the race
 # detector: seeded panics, slowdowns and queue stalls inside the

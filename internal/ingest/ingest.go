@@ -242,6 +242,12 @@ type Server struct {
 	drainNs   atomic.Int64
 	// lastPoll is the pump's overload-poll throttle; pump-thread only.
 	lastPoll int64
+	// pumpIdle is raised by the pump when a round found nothing and it
+	// is about to wait; kick is the one-slot channel it waits on. A
+	// reader about to wait with tuples admitted sends the kick while
+	// pumpIdle is set (wakePump; see Run for the handshake).
+	pumpIdle atomic.Bool
+	kick     chan struct{}
 	// pumpBuf gathers one drainTenant's tuples for a single SubmitBatch;
 	// pump-thread only, reused across rounds.
 	pumpBuf []tuple.Tuple
@@ -269,7 +275,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.TagWord >= tuple.PayloadWords {
 		return nil, fmt.Errorf("ingest: TagWord %d out of range", cfg.TagWord)
 	}
-	s := &Server{cfg: cfg, met: cfg.Metrics, byName: make(map[string]*tenant), conns: make(map[net.Conn]struct{})}
+	s := &Server{cfg: cfg, met: cfg.Metrics, byName: make(map[string]*tenant), conns: make(map[net.Conn]struct{}),
+		kick: make(chan struct{}, 1)}
 	s.drainNs.Store(int64(cfg.DrainDeadline))
 	for i, tc := range cfg.Tenants {
 		if tc.Name == "" || len(tc.Name) > maxTenantName {
@@ -401,7 +408,8 @@ func (s *Server) dropConn(conn net.Conn) {
 // serve sniffs the protocol and runs the connection to completion.
 func (s *Server) serve(conn net.Conn, tid int) {
 	defer s.dropConn(conn)
-	br := bufio.NewReaderSize(conn, 16<<10)
+	defer s.wakePump() // for tuples admitted after the last socket read
+	br := bufio.NewReaderSize(pumpWaker{conn, s}, 16<<10)
 	conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	head, err := br.Peek(len(magic))
 	if err != nil {
@@ -536,6 +544,7 @@ func (s *Server) admit(tn *tenant, t tuple.Tuple, tid int) Disposition {
 			tn.throttled.Add(1)
 			s.met.Throttled.Add(tid, 1)
 			s.emit(trace.KindThrottle, tn.id, 1)
+			s.wakePump() // what this reader admitted before the wait
 			for {
 				time.Sleep(wait)
 				if s.draining.Load() {
@@ -647,6 +656,39 @@ func (s *Server) tryPushWait(tn *tenant, t tuple.Tuple) bool {
 	}
 }
 
+// pumpWaker is a connection as its bufio.Reader reads it. The buffer
+// reads from the socket only once everything buffered has been consumed,
+// so a Read here means the connection's reader has admitted every frame
+// it has and is about to block: the moment to wake an idle pump. Waking
+// it per admitted tuple instead was measured to cost ingest_paced tail
+// latency — the pump, woken at a burst's first frame, raced the reader
+// for the processor and pumped the burst a tuple at a time.
+type pumpWaker struct {
+	net.Conn
+	s *Server
+}
+
+func (w pumpWaker) Read(p []byte) (int, error) {
+	w.s.wakePump()
+	return w.Conn.Read(p)
+}
+
+// wakePump sends the pump its kick if it has announced that it is idle:
+// one atomic load per call while the pump is busy. A reader calls it
+// whenever it is about to wait — on the socket (pumpWaker), on its
+// tenant's shaper, or for good — after its admissions. Those pushes and
+// the pump's announcement are sequentially consistent, so either the
+// pump's re-check after announcing sees the tuples or this load sees the
+// announcement.
+func (s *Server) wakePump() {
+	if s.pumpIdle.Load() {
+		select {
+		case s.kick <- struct{}{}:
+		default: // a kick is already pending
+		}
+	}
+}
+
 // emit serializes trace emission on the shared ingest ring. Slow path
 // only (throttle/shed decisions and pump batches, not per-tuple).
 func (s *Server) emit(k trace.Kind, tenantID int32, count uint32) {
@@ -659,13 +701,26 @@ func (s *Server) emit(k trace.Kind, tenantID int32, count uint32) {
 	s.emitMu.Unlock()
 }
 
+// pumpIdleWait bounds how long an idle pump waits for a kick: the
+// cadence at which it still refreshes the overload gate (pollOverload's
+// own throttle) when no tuple arrives to wake it.
+const pumpIdleWait = time.Millisecond
+
 // Run implements graph.Source: the admission pump. It drains tenant
 // queues in strict priority order into the runtime until stop closes,
 // then performs the graceful drain: stop accepting, sever connections,
 // flush admitted tuples within the drain deadline.
+//
+// An idle pump does not poll. After a round that found nothing it
+// announces that it is idle (pumpIdle), checks the tenant queues once
+// more, and only then waits for a reader's kick, for stop, or for
+// pumpIdleWait. A reader admits and then, before it waits, looks for the
+// announcement (wakePump), so tuples that land after the re-check always
+// send a kick: their arrival, not a timer, wakes the pump.
 func (s *Server) Run(out graph.Submitter, stop <-chan struct{}) {
 	const batch = 256
-	idle := time.Duration(0)
+	timer := time.NewTimer(pumpIdleWait)
+	defer timer.Stop()
 	for {
 		select {
 		case <-stop:
@@ -676,17 +731,38 @@ func (s *Server) Run(out graph.Submitter, stop <-chan struct{}) {
 		}
 		n := s.pumpRound(out, batch)
 		s.pollOverload()
-		if n == 0 {
-			// Nothing queued: back off up to 1ms so an idle front end
-			// does not spin a core, while staying responsive to bursts.
-			if idle < time.Millisecond {
-				idle += 50 * time.Microsecond
+		if n > 0 {
+			continue
+		}
+		s.pumpIdle.Store(true)
+		if !s.queued() {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
-			time.Sleep(idle)
-		} else {
-			idle = 0
+			timer.Reset(pumpIdleWait)
+			select {
+			case <-s.kick:
+			case <-stop:
+			case <-timer.C:
+			}
+		}
+		s.pumpIdle.Store(false)
+	}
+}
+
+// queued reports whether any tenant holds a tuple or a parked
+// punctuation: the pump's re-check between announcing idle and waiting,
+// and the drain's test for done.
+func (s *Server) queued() bool {
+	for _, tn := range s.order {
+		if tn.depth() > 0 {
+			return true
 		}
 	}
+	return false
 }
 
 // pumpRound drains up to batch tuples from every tenant, guaranteed
@@ -761,17 +837,8 @@ func (s *Server) beginDrain() {
 func (s *Server) flush(out graph.Submitter, batch int) {
 	deadline := time.Now().Add(time.Duration(s.drainNs.Load()))
 	for {
-		if s.pumpRound(out, batch) == 0 {
-			empty := true
-			for _, tn := range s.tenants {
-				if tn.depth() > 0 {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				return
-			}
+		if s.pumpRound(out, batch) == 0 && !s.queued() {
+			return
 		}
 		if !time.Now().Before(deadline) {
 			return

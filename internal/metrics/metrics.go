@@ -183,18 +183,24 @@ type Chain struct {
 	// queue held tuples (chaining ahead of them would break per-stream
 	// FIFO).
 	Occupied *Counter
+	// SourceCommits counts partial source batches committed on the
+	// source's own thread at the push instead of queued: the input-bound
+	// run-to-completion path, per source batch (its links also count in
+	// Starts, Links and Tuples, or in the fused-run meters).
+	SourceCommits *Counter
 	bundle[ChainSnapshot]
 }
 
 // ChainSnapshot is a point-in-time reading of a Chain set.
 type ChainSnapshot struct {
-	Starts      uint64 `json:"starts"`
-	Links       uint64 `json:"links"`
-	Tuples      uint64 `json:"tuples"`
-	DepthStops  uint64 `json:"depth_stops"`
-	BudgetStops uint64 `json:"budget_stops"`
-	LockMisses  uint64 `json:"lock_misses"`
-	Occupied    uint64 `json:"occupied"`
+	Starts        uint64 `json:"starts"`
+	Links         uint64 `json:"links"`
+	Tuples        uint64 `json:"tuples"`
+	DepthStops    uint64 `json:"depth_stops"`
+	BudgetStops   uint64 `json:"budget_stops"`
+	LockMisses    uint64 `json:"lock_misses"`
+	Occupied      uint64 `json:"occupied"`
+	SourceCommits uint64 `json:"source_commits"`
 }
 
 // VM bundles the bytecode-dispatch meters: how many operators compiled

@@ -2,6 +2,8 @@ package pe
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,5 +128,71 @@ func TestSchedStatsSurfaceFaults(t *testing.T) {
 	}
 	if st.Faults.OpPanics != 1 || st.Faults.DeadLetters != 1 {
 		t.Errorf("Faults = %+v, want exactly one contained panic and dead letter", st.Faults)
+	}
+}
+
+// TestStopDeadlineNamesBlockedSource: an unlimited source feeds an
+// operator that wedges on word 100 behind capacity-4 queues, with one
+// scheduler thread. Whichever executor runs the word wedges, and the
+// source ends up either wedged itself or blocked in reSchedule behind a
+// full queue whose consumer lock the wedged thread holds. Stop must
+// still return within its deadline budget — the source wait and the
+// runner's shutdown, ShutdownTimeout each — and Err must name the stuck
+// source.
+func TestStopDeadlineNamesBlockedSource(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	release, entered := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	wedge := &ops.Custom{OpName: "Wedge", Fn: func(out graph.Submitter, tp tuple.Tuple, _ int) {
+		if tp.Words[0] == 100 {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		out.Submit(tp, 0)
+	}}
+	b := graph.NewBuilder()
+	src := b.AddNode(&ops.Generator{}, 0, 1)
+	wn := b.AddNode(wedge, 1, 1)
+	b.Connect(src, 0, wn, 0)
+	b.Connect(wn, 0, b.AddNode(&ops.Sink{}, 1, 0), 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(g, Config{Model: Dynamic, Threads: 1, MaxThreads: 1, QueueCap: 4, ShutdownTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer close(release) // let the wedged executor return so the test leaks nothing
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wedging word never executed")
+	}
+	stopped := make(chan struct{})
+	start := time.Now()
+	go func() {
+		p.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Stop still blocked after 3s with a 200ms shutdown deadline")
+	}
+	if elapsed := time.Since(start); elapsed < timeout {
+		t.Errorf("Stop returned after %v, before its %v deadline", elapsed, timeout)
+	}
+	err = p.Err()
+	if err == nil {
+		t.Fatal("Err is nil after Stop missed its deadline")
+	}
+	if want := "sources [0 (Src)] have not stopped"; !strings.Contains(err.Error(), want) {
+		t.Errorf("Err %.160q does not say %q", err.Error(), want)
 	}
 }

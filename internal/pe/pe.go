@@ -109,14 +109,16 @@ type Config struct {
 	// QuarantineAfter is the per-operator panic budget before the
 	// execution core quarantines it. Default 3.
 	QuarantineAfter int
-	// ShutdownTimeout bounds the dynamic scheduler's wait for its threads
-	// to exit on shutdown. Default 60s; negative waits forever.
+	// ShutdownTimeout bounds Stop's wait for the sources to return and
+	// the graph to drain, and the dynamic scheduler's wait for its
+	// threads to exit on shutdown. Default 60s; negative waits forever.
 	ShutdownTimeout time.Duration
 	// WatchdogInterval enables the dynamic scheduler's stall watchdog at
 	// the given sweep period. 0 (the default) disables it.
 	WatchdogInterval time.Duration
-	// StallThreshold is how long a scheduler thread may sit inside
-	// operator code without progress before the watchdog reports it.
+	// StallThreshold is how long a scheduler thread or a source frame
+	// may sit inside operator code without progress before the watchdog
+	// reports it.
 	// Default 2×WatchdogInterval.
 	StallThreshold time.Duration
 	// Tracer, if set, records scheduler decisions and elasticity level
@@ -143,10 +145,14 @@ type PE struct {
 
 	stopSources chan struct{}
 	sourcesWG   sync.WaitGroup
-	adaptWG     sync.WaitGroup
-	adaptStop   chan struct{}
-	started     atomic.Bool
-	stopped     atomic.Bool
+	// sourceExited[i] is set once source i's thread has returned from
+	// Run and emitted its final punctuation: what Stop's deadline error
+	// names the stuck sources by.
+	sourceExited []atomic.Bool
+	adaptWG      sync.WaitGroup
+	adaptStop    chan struct{}
+	started      atomic.Bool
+	stopped      atomic.Bool
 
 	errMu sync.Mutex
 	err   error
@@ -184,10 +190,11 @@ func New(g *graph.Graph, cfg Config) (*PE, error) {
 		return nil, fmt.Errorf("pe: elasticity requires the dynamic model, got %v", cfg.Model)
 	}
 	pe := &PE{
-		g:           g,
-		cfg:         cfg,
-		stopSources: make(chan struct{}),
-		adaptStop:   make(chan struct{}),
+		g:            g,
+		cfg:          cfg,
+		stopSources:  make(chan struct{}),
+		sourceExited: make([]atomic.Bool, len(g.SourceNodes)),
+		adaptStop:    make(chan struct{}),
 	}
 	// The manual and dedicated models charge the core's meters per
 	// source thread and per port thread.
@@ -292,12 +299,9 @@ func (pe *PE) Start() error {
 	}
 	// Hand the shutdown deadline to sources that drain buffered work on
 	// stop (the ingest front end flushes admitted tuples): their flush
-	// must fit inside the same budget the runner's shutdown gets, or
-	// Stop would blow its bound before the scheduler even begins.
-	if dd := pe.cfg.ShutdownTimeout; dd >= 0 {
-		if dd == 0 {
-			dd = 60 * time.Second
-		}
+	// must fit inside the same budget Stop waits for them, or Stop would
+	// cut it short.
+	if dd := pe.shutdownTimeout(); dd >= 0 {
 		for _, n := range pe.g.SourceNodes {
 			if s, ok := n.Op.(interface{ SetDrainDeadline(time.Duration) }); ok {
 				s.SetDrainDeadline(dd)
@@ -310,6 +314,7 @@ func (pe *PE) Start() error {
 			defer pe.sourcesWG.Done()
 			n.Op.(graph.Source).Run(pe.runner.sourceSubmitter(i), pe.stopSources)
 			pe.runner.sourceDone(i)
+			pe.sourceExited[i].Store(true)
 		}(i, n)
 	}
 	if pe.cfg.Elastic {
@@ -538,6 +543,7 @@ func (pe *PE) Done() <-chan struct{} { return pe.core.Done() }
 func (pe *PE) Wait() {
 	<-pe.core.Done()
 	pe.finish()
+	pe.sourcesWG.Wait()
 }
 
 // WaitTimeout is Wait with a deadline on the drain itself: if the graph
@@ -556,21 +562,78 @@ func (pe *PE) WaitTimeout(d time.Duration) error {
 		return fmt.Errorf("pe: drain deadline %v expired%s\n%s", d, last, fault.GoroutineDump(64<<10))
 	}
 	pe.finish()
+	pe.sourcesWG.Wait()
 	return pe.Err()
 }
 
-// Stop asks sources to stop, waits for the graph to drain, and releases
-// all threads. Safe to call once, after Start.
+// Stop asks sources to stop, waits for them to return and for the graph
+// to drain, and releases all threads. Safe to call once, after Start.
+//
+// The two waits share one ShutdownTimeout deadline, so neither a source
+// blocked in self-help behind a wedged operator nor one wedged in
+// operator code itself can hang Stop. On expiry Err names the sources
+// that have not returned (or reports the undrained graph), and Stop goes
+// on to the runner's shutdown, whose stop flags release a source blocked
+// in self-help; a source wedged in operator code is left behind, like a
+// wedged scheduler thread.
 func (pe *PE) Stop() {
 	if pe.stopped.Swap(true) {
 		return
 	}
 	close(pe.stopSources)
-	pe.sourcesWG.Wait()
-	<-pe.core.Done()
+	var expired <-chan time.Time
+	if d := pe.shutdownTimeout(); d >= 0 {
+		deadline := time.NewTimer(d)
+		defer deadline.Stop()
+		expired = deadline.C
+	}
+	sourcesDone := make(chan struct{})
+	go func() {
+		pe.sourcesWG.Wait()
+		close(sourcesDone)
+	}()
+	select {
+	case <-sourcesDone:
+		select {
+		case <-pe.core.Done():
+		case <-expired:
+			pe.setErr(pe.deadlineErr("the graph has not drained"))
+		}
+	case <-expired:
+		var stuck []string
+		for i, n := range pe.g.SourceNodes {
+			if !pe.sourceExited[i].Load() {
+				stuck = append(stuck, fmt.Sprintf("%d (%s)", i, n.Op.Name()))
+			}
+		}
+		pe.setErr(pe.deadlineErr(fmt.Sprintf("sources %v have not stopped", stuck)))
+	}
 	pe.finish()
 }
 
+// shutdownTimeout resolves Config.ShutdownTimeout's default.
+func (pe *PE) shutdownTimeout() time.Duration {
+	if pe.cfg.ShutdownTimeout == 0 {
+		return 60 * time.Second
+	}
+	return pe.cfg.ShutdownTimeout
+}
+
+// deadlineErr is Stop's deadline error: what is stuck, the last
+// contained fault, and a goroutine dump.
+func (pe *PE) deadlineErr(what string) error {
+	last := ""
+	if lf := pe.core.LastFault(); lf != "" {
+		last = " (last fault: " + lf + ")"
+	}
+	return fmt.Errorf("pe: shutdown deadline %v exceeded; %s%s\n%s",
+		pe.shutdownTimeout(), what, last, fault.GoroutineDump(64<<10))
+}
+
+// finish stops the adaptation loop and the runner. It does not wait for
+// source threads: after a drain every source has emitted its final
+// punctuation and is returning (Wait and WaitTimeout then wait for it),
+// and Stop has already waited for them as long as its deadline allows.
 func (pe *PE) finish() {
 	if pe.cfg.Elastic {
 		select {
@@ -583,7 +646,6 @@ func (pe *PE) finish() {
 	if err := pe.runner.shutdown(); err != nil {
 		pe.setErr(err)
 	}
-	pe.sourcesWG.Wait()
 }
 
 // dynamicRunner adapts sched.Scheduler to the runner interface.

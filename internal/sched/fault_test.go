@@ -119,21 +119,44 @@ func (b *blocker) Process(out graph.Submitter, t tuple.Tuple, _ int) {
 	out.Submit(t, 0)
 }
 
-// TestShutdownDeadlineNamesStuckThread: Shutdown with a thread wedged
-// inside operator code returns within the deadline, naming the stuck
-// thread and attaching a goroutine dump — instead of hanging forever.
-func TestShutdownDeadlineNamesStuckThread(t *testing.T) {
-	blk := &blocker{release: make(chan struct{}), entered: make(chan struct{})}
+// wedgeGraph is Generator(limit) -> op -> Sink. With onSource set the
+// source's stream feeds op alone, so a partial source batch commits on
+// the source's own thread (tryChain); otherwise the stream is tapped
+// (tapConnect), the port is unchainable, and op runs on a scheduler
+// thread.
+func wedgeGraph(t *testing.T, limit uint64, op graph.Operator, onSource bool) *graph.Graph {
+	t.Helper()
 	b := graph.NewBuilder()
-	src := b.AddNode(&ops.Generator{Limit: 1}, 0, 1)
-	bn := b.AddNode(blk, 1, 1)
-	sn := b.AddNode(&ops.Sink{}, 1, 0)
-	b.Connect(src, 0, bn, 0)
-	b.Connect(bn, 0, sn, 0)
+	src := b.AddNode(&ops.Generator{Limit: limit}, 0, 1)
+	on := b.AddNode(op, 1, 1)
+	tapConnect(b, !onSource)(src, 0, on)
+	b.Connect(on, 0, b.AddNode(&ops.Sink{}, 1, 0), 0)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// TestShutdownDeadlineNamesStuckThread: Shutdown with a thread wedged
+// inside operator code returns within the deadline, naming the stuck
+// thread and attaching a goroutine dump — instead of hanging forever.
+// The twin below wedges a source frame instead.
+func TestShutdownDeadlineNamesStuckThread(t *testing.T) {
+	testShutdownDeadline(t, false, "scheduler threads [0] have not exited")
+}
+
+// TestShutdownDeadlineNamesStuckSource: a source frame running a partial
+// batch to completion is wedged inside operator code. Shutdown has no
+// goroutine of its own to wait for there, but it still waits for the
+// frame to leave operator code, and on expiry names the source.
+func TestShutdownDeadlineNamesStuckSource(t *testing.T) {
+	testShutdownDeadline(t, true, "sources [0] are still in operator code")
+}
+
+func testShutdownDeadline(t *testing.T, onSource bool, want string) {
+	blk := &blocker{release: make(chan struct{}), entered: make(chan struct{})}
+	g := wedgeGraph(t, 1, blk, onSource)
 	s := New(g, Config{MaxThreads: 1, ShutdownTimeout: 300 * time.Millisecond})
 	s.Start(1)
 	n := g.SourceNodes[0]
@@ -144,20 +167,20 @@ func TestShutdownDeadlineNamesStuckThread(t *testing.T) {
 		t.Fatal("operator never executed")
 	}
 	start := time.Now()
-	err = s.Shutdown()
+	err := s.Shutdown()
 	if err == nil {
-		t.Fatal("Shutdown returned nil with a wedged thread")
+		t.Fatal("Shutdown returned nil with a wedged operator")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("Shutdown took %v; deadline did not bound it", elapsed)
 	}
-	if !strings.Contains(err.Error(), "threads [0]") {
-		t.Errorf("error %.120q does not name the stuck thread", err.Error())
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %.120q does not say %q", err.Error(), want)
 	}
 	if !strings.Contains(err.Error(), "goroutine") {
 		t.Error("error carries no goroutine dump")
 	}
-	close(blk.release) // let the thread exit so the test leaks nothing
+	close(blk.release) // let the wedged frame return so the test leaks nothing
 }
 
 // TestWatchdogReportsStalledThread: a thread that sits inside one
@@ -166,9 +189,21 @@ func TestShutdownDeadlineNamesStuckThread(t *testing.T) {
 //
 // The generator limit stays below the queue capacity on purpose: a full
 // queue would make the source thread execute the slow operator itself
-// through reSchedule self-help, and the watchdog tracks scheduler
-// threads, not source threads.
+// through reSchedule self-help. Its one partial batch would commit on
+// the source's thread too, so the stream is tapped (wedgeGraph): the
+// twin below covers the source frame.
 func TestWatchdogReportsStalledThread(t *testing.T) {
+	testWatchdogStall(t, false, "sched: thread 0 stuck in operator code for ")
+}
+
+// TestWatchdogReportsStalledSource: the one partial source batch runs to
+// completion on the source's thread, inside the slow operator; the
+// watchdog walks the sources' owners too and names the source.
+func TestWatchdogReportsStalledSource(t *testing.T) {
+	testWatchdogStall(t, true, "sched: source 0 stuck in operator code for ")
+}
+
+func testWatchdogStall(t *testing.T, onSource bool, want string) {
 	const stall = 300 * time.Millisecond
 	slow := &ops.Custom{OpName: "Slow", Fn: func(out graph.Submitter, tp tuple.Tuple, _ int) {
 		if tp.Words[0] == 0 {
@@ -176,25 +211,19 @@ func TestWatchdogReportsStalledThread(t *testing.T) {
 		}
 		out.Submit(tp, 0)
 	}}
-	b := graph.NewBuilder()
-	src := b.AddNode(&ops.Generator{Limit: 8}, 0, 1)
-	sl := b.AddNode(slow, 1, 1)
-	sn := b.AddNode(&ops.Sink{}, 1, 0)
-	b.Connect(src, 0, sl, 0)
-	b.Connect(sl, 0, sn, 0)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := wedgeGraph(t, 8, slow, onSource)
 	s := runGraph(t, g, Config{
 		MaxThreads:       2,
 		WatchdogInterval: 10 * time.Millisecond,
 		StallThreshold:   50 * time.Millisecond,
 	}, 1)
 	if got := s.Faults().WatchdogStalls; got == 0 {
-		t.Fatal("watchdog never reported the stalled thread")
+		t.Fatal("watchdog never reported the stall")
 	}
-	if lf := s.LastFault(); !strings.HasPrefix(lf, "sched: thread 0 stuck in operator code for ") {
-		t.Fatalf("LastFault = %q, want a stall report naming thread 0", lf)
+	if lf := s.LastFault(); !strings.HasPrefix(lf, want) {
+		t.Fatalf("LastFault = %q, want a stall report starting %q", lf, want)
+	}
+	if got := s.Stats().Chain.SourceCommits; (got != 0) != onSource {
+		t.Errorf("SourceCommits = %d with the batch on the source frame %v", got, onSource)
 	}
 }

@@ -155,7 +155,7 @@ func (s *Scheduler) buildFusedRuns() {
 // regardless).
 func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tuple, atDequeue bool) bool {
 	tid := c.tid
-	thr := c.thr
+	own := c.own
 	nSegs := len(fr.ports)
 	if !s.lockFusedRun(c, fr, batch, atDequeue) {
 		s.vms.Fallbacks.Add(tid, 1)
@@ -168,14 +168,11 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 	if s.tr.On() {
 		s.tr.Emit(tid, trace.KindVMFuse, trace.PackPair(int32(nSegs), uint32(port)))
 	}
-	var wasActive bool
-	if thr != nil {
-		// As in executeBatch: the watchdog and the suspension accounting
-		// read active, and a dequeue call is a top-level execution.
-		wasActive = thr.active.Swap(true)
-	}
+	// As in executeBatch: the watchdog and the suspension accounting read
+	// active, and a dequeue call is a top-level execution.
+	wasActive := own.active.Swap(true)
 	lastP := s.g.Ports[fr.ports[nSegs-1]]
-	ec := s.acquireCtx(lastP, tid, thr)
+	ec := s.acquireCtx(lastP, tid, c.thr)
 	// The tail frame keeps what the run's links leave of c's link budget.
 	// At a push the entry port is itself one link down from c; at a
 	// dequeue c is the entry frame. A reSchedule frame (-1) never chains
@@ -214,10 +211,8 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 		counts = fr.mach.SegCounts()
 	}
 	total := s.ChargeRun(tid, fr.nodes, counts)
-	if thr != nil {
-		thr.chainBudget = max(thr.chainBudget-int(total), 0)
-		thr.heartbeat.Add(1)
-	}
+	own.chainBudget = max(own.chainBudget-int(total), 0)
+	own.heartbeat.Add(1)
 	// Flush the last node's submissions (possibly opening further chain
 	// links past the run) before the interior locks release.
 	ec.endCoalesce()
@@ -226,9 +221,7 @@ func (s *Scheduler) tryFused(c *ctx, fr *fusedRun, port int32, batch []tuple.Tup
 	}
 	fr.emit.ec = nil
 	s.releaseCtx(ec)
-	if thr != nil {
-		thr.active.Store(wasActive)
-	}
+	own.active.Store(wasActive)
 	return true
 }
 
@@ -243,11 +236,11 @@ func (s *Scheduler) lockFusedRun(c *ctx, fr *fusedRun, batch []tuple.Tuple, atDe
 	if s.inj != nil {
 		return false
 	}
-	// Source threads own no Thread and so no tuple allowance; their
-	// drains are bounded by reschedLimit instead. Tested before the
-	// flush below, which may chain and draw on the allowance: what it
-	// moves is the previous batch's work.
-	if thr := c.thr; thr != nil && len(batch)*len(fr.ports) > thr.chainBudget {
+	// A source frame's drains (reSchedule, at a dequeue) are bounded by
+	// reschedLimit instead of the allowance, which only its push-time
+	// commits draw on. Tested before the flush below, which may chain and
+	// draw on the allowance: what it moves is the previous batch's work.
+	if (c.thr != nil || !atDequeue) && len(batch)*len(fr.ports) > c.own.chainBudget {
 		return false
 	}
 	for i := range batch {

@@ -59,16 +59,15 @@ func (r *streamRecorder) OnPunct(_ graph.Submitter, k tuple.Kind, _ int) {
 	}
 }
 
-// splitGraph is SliceSource(input) -> routeSplit -> width recorders, with
-// runLen programmed forwarding workers (a fusable run when runLen >= 2)
-// between each split output and its recorder. With tap set, every
-// stream also feeds a shared tap sink, so no port is chainable and no
-// run fuses.
-func splitGraph(t *testing.T, input []tuple.Tuple, width, runLen int, route func(uint64) int, tap bool) (*graph.Graph, []*streamRecorder) {
+// splitGraph is src -> routeSplit -> width recorders, with runLen
+// programmed forwarding workers (a fusable run when runLen >= 2) between
+// each split output and its recorder. With tap set, every stream also
+// feeds a shared tap sink, so no port is chainable and no run fuses.
+func splitGraph(t *testing.T, source graph.Operator, width, runLen int, route func(uint64) int, tap bool) (*graph.Graph, []*streamRecorder) {
 	t.Helper()
 	b := graph.NewBuilder()
 	connect := tapConnect(b, tap)
-	src := b.AddNode(&ops.SliceSource{Tuples: input}, 0, 1)
+	src := b.AddNode(source, 0, 1)
 	split := b.AddNode(&routeSplit{width: width, route: route}, 1, width)
 	connect(src, 0, split)
 	recs := make([]*streamRecorder, width)
@@ -100,7 +99,9 @@ func splitGraph(t *testing.T, input []tuple.Tuple, width, runLen int, route func
 // destinations share slots and evict each other, and with a fused run on
 // every branch, where the marks make batches of one drain alternate
 // between the per-operator path and the fused program (reached through
-// the splitter's flush and, off the branch queues, at the dequeue).
+// the splitter's flush and, off the branch queues, at the dequeue). The
+// paced cell submits in partial bursts, so the splitter, and whatever
+// its flushes chain to, also runs on the source's own thread.
 func TestScatterPerStreamFIFO(t *testing.T) {
 	const n = 30000
 	routes := map[string]struct {
@@ -118,12 +119,14 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 		"wide-wrap": {3 * maxSlots, func(v uint64) int { return int(v * 7 % (3 * maxSlots)) }},
 	}
 	cfgs := map[string]struct {
-		cfg Config
-		tap bool
+		cfg   Config
+		tap   bool
+		paced bool
 	}{
-		"default":    {Config{MaxThreads: 4}, false},
-		"queue-full": {Config{MaxThreads: 4, QueueCap: 4}, false},
-		"no-chain":   {Config{MaxThreads: 4, QueueCap: 16}, true},
+		"default":    {Config{MaxThreads: 4}, false, false},
+		"queue-full": {Config{MaxThreads: 4, QueueCap: 4}, false, false},
+		"no-chain":   {Config{MaxThreads: 4, QueueCap: 16}, true, false},
+		"paced":      {Config{MaxThreads: 4}, false, true},
 	}
 	input := make([]tuple.Tuple, 0, n+n/97+1)
 	for i := uint64(0); i < n; i++ {
@@ -151,7 +154,11 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 					name += "/fused-run"
 				}
 				t.Run(name, func(t *testing.T) {
-					g, recs := splitGraph(t, input, r.width, runLen, r.route, c.tap)
+					var src graph.Operator = &ops.SliceSource{Tuples: input}
+					if c.paced {
+						src = &pacedSource{tuples: input, maxBurst: 7}
+					}
+					g, recs := splitGraph(t, src, r.width, runLen, r.route, c.tap)
 					s := runGraph(t, g, c.cfg, 3)
 					for w, rec := range recs {
 						if len(rec.events) != len(want[w]) {
@@ -178,6 +185,9 @@ func TestScatterPerStreamFIFO(t *testing.T) {
 					}
 					if st := s.Stats(); c.tap && (st.Chain.Links != 0 || st.VM.FusedRuns != 0) {
 						t.Errorf("chained %d links and fused %d runs with no chainable port", st.Chain.Links, st.VM.FusedRuns)
+					}
+					if sc := s.Stats().Chain.SourceCommits; c.paced != (sc != 0) {
+						t.Errorf("SourceCommits = %d with a paced source %v", sc, c.paced)
 					}
 				})
 			}

@@ -65,14 +65,16 @@ type Config struct {
 	// the graph still drains. Default 3.
 	QuarantineAfter int
 	// ShutdownTimeout bounds how long Shutdown waits for scheduler
-	// threads to exit before returning a diagnostic error naming the
-	// stuck threads (with a goroutine dump). Default 60s; negative
-	// waits forever (the pre-containment behavior).
+	// threads to exit, and source frames to leave operator code, before
+	// returning a diagnostic error naming the stuck ones (with a
+	// goroutine dump). Default 60s; negative waits forever (the
+	// pre-containment behavior).
 	ShutdownTimeout time.Duration
 	// WatchdogInterval enables the scheduler watchdog: every interval it
-	// checks each running thread's heartbeat epoch and reports threads
-	// stuck inside operator code without progress for longer than
-	// StallThreshold. Zero (the default) disables the watchdog.
+	// checks each running thread's and each source's heartbeat epoch and
+	// reports those stuck inside operator code without progress for
+	// longer than StallThreshold. Zero (the default) disables the
+	// watchdog.
 	WatchdogInterval time.Duration
 	// StallThreshold is how long a thread may go without a heartbeat
 	// before the watchdog reports it. Default 2×WatchdogInterval.
@@ -182,6 +184,10 @@ type Scheduler struct {
 	portsClosedGlobal atomic.Bool
 
 	threads []*Thread
+	// sources holds one owner per source thread, indexed like
+	// g.SourceNodes: what its frames charge while they run operator code
+	// through a push-time commit or reSchedule self-help.
+	sources []sourceOwner
 	started []bool // whether threads[i]'s goroutine exists
 	level   int    // current number of unsuspended threads
 	levelMu sync.Mutex
@@ -281,6 +287,7 @@ func New(g *graph.Graph, cfg Config) *Scheduler {
 		slotBase:      make([][]int32, len(g.Nodes)),
 		numSlots:      make([]int, len(g.Nodes)),
 		threads:       make([]*Thread, cfg.MaxThreads),
+		sources:       make([]sourceOwner, len(g.SourceNodes)),
 		started:       make([]bool, cfg.MaxThreads),
 		reschedules:   metrics.NewCounter(writers),
 		findFails:     metrics.NewCounter(writers),
@@ -529,6 +536,10 @@ type ctx struct {
 	node *graph.Node
 	tid  int
 	thr  *Thread
+	// own is the executor the frame charges: &thr.owner on a scheduler
+	// thread, the source's entry in Scheduler.sources on a source frame
+	// (thr nil). Never nil.
+	own *owner
 
 	// stamp marks source-thread contexts when latency measurement is on:
 	// each submitted data tuple is stamped with the wall-clock time so
@@ -553,11 +564,11 @@ type ctx struct {
 	slots    []slot
 
 	// chainLeft is how many more inline chain links this frame's
-	// flushes may open: chainDepth on a top-level drain frame,
-	// parent-1 on chained frames (0 = depth exhausted, metered), -1 on
-	// reSchedule frames, which never chain. Checked by deliver before
-	// any dynamic chain test, so a frame that may not chain pays one
-	// integer compare per flush.
+	// flushes may open: chainDepth on a top-level drain frame and on a
+	// source's submit frame, parent-1 on chained frames (0 = depth
+	// exhausted, metered), -1 on reSchedule frames, which never chain.
+	// Checked by deliver before any dynamic chain test, so a frame that
+	// may not chain pays one integer compare per flush.
 	chainLeft int
 
 	// nextFree chains recycled contexts on their thread's free list
@@ -634,6 +645,9 @@ func (c *ctx) SubmitBatch(ts []tuple.Tuple, outPort int) {
 			ts[i].Port = int32(pid)
 		}
 		if c.slots == nil {
+			// Each delivery is a root batch of the source's, with a
+			// fresh allowance, like each batch of a scheduler drain.
+			c.own.chainBudget = c.s.chainBudget0
 			c.deliver(int32(pid), ts)
 			continue
 		}
@@ -701,11 +715,11 @@ func (c *ctx) deliver(port int32, batch []tuple.Tuple) {
 		if s.tryChain(c, port, batch) {
 			return
 		}
-	} else if c.chainLeft == 0 && c.thr != nil && s.chainable[port] {
+	} else if c.chainLeft == 0 && s.chainable[port] {
 		// A chainable destination reached with the link budget spent:
 		// meter the depth stop so chain-length tuning has data. Only a
-		// depth-exhausted chained frame can get here — source frames
-		// (thr nil) and reSchedule frames (chainLeft -1) are excluded.
+		// depth-exhausted chained frame can get here — reSchedule frames
+		// (chainLeft -1) are excluded.
 		s.chains.DepthStops.Add(c.tid, 1)
 		s.emitChainStop(c.tid, trace.ChainStopDepth, port)
 	}
@@ -738,9 +752,20 @@ func (c *ctx) endCoalesce() {
 // executing the port's operator inline on the calling thread — the
 // run-to-completion chain path that bypasses the queue push, the
 // free-list hint cycle, and the cross-thread drain hand-off. It may
-// only run from a coalescing execution frame with chain budget left
-// (deliver checks chainLeft), and it preserves every scheduler
-// invariant the queue path provides:
+// only run from a frame with chain budget left (deliver checks
+// chainLeft): a coalescing drain frame, or a source's submit frame.
+//
+// A source frame (thr nil) commits only a partial batch, one shorter
+// than batchCap. A source that could not fill a batch is input-bound —
+// it is waiting for its input, not for the runtime — so running the
+// batch to completion on its thread gives up no pipelining and saves
+// the hand-off to a scheduler thread, which at light load is most of a
+// tuple's latency (the paper's manual model, taken only when it costs
+// nothing). A full batch goes to the queue, where scheduler threads
+// overlap its execution with the source producing the next one.
+//
+// Every commit preserves every scheduler invariant the queue path
+// provides:
 //
 //   - Per-stream FIFO: the chain commits only while holding the port's
 //     consumer lock with the queue observed empty. Execution of a
@@ -749,11 +774,14 @@ func (c *ctx) endCoalesce() {
 //     processed; and any tuple another producer pushes while the chain
 //     holds the lock belongs to a different stream (this frame's node
 //     produced the chained batch, and its stream feeds only this port),
-//     so ordering behind the chained batch violates nothing.
+//     so ordering behind the chained batch violates nothing. A source
+//     frame that finds the queue occupied first runs what is queued
+//     (drainAhead), which holds every earlier tuple of its stream.
 //   - Punctuation: the batch executes through the same executeSpan as a
 //     queue drain, so window and final marks forward in position; an
 //     unchained punctuation already in the queue blocks chaining via
-//     the empty-queue test, so nothing overtakes it.
+//     the empty-queue test (or, on a source frame, runs first), so
+//     nothing overtakes it.
 //   - Deadlock freedom: the graph is a DAG and a chain only acquires
 //     consumer locks strictly downstream of the locks it holds, with
 //     try-locks and a queue fallback on every failure — no wait cycle
@@ -774,11 +802,12 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 		return false
 	}
 	thr := c.thr
-	if thr == nil {
+	if thr == nil && len(batch) >= s.batchCap {
 		return false
 	}
 	tid := c.tid
-	if len(batch) > thr.chainBudget {
+	own := c.own
+	if len(batch) > own.chainBudget {
 		s.chains.BudgetStops.Add(tid, 1)
 		s.emitChainStop(tid, trace.ChainStopBudget, port)
 		return false
@@ -793,7 +822,7 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 		s.emitChainStop(tid, trace.ChainStopLock, port)
 		return false
 	}
-	if q.Queue().Len() != 0 {
+	if q.Queue().Len() != 0 && (thr != nil || !s.drainAhead(c, port)) {
 		q.ConsUnlock()
 		s.chains.Occupied.Add(tid, 1)
 		s.emitChainStop(tid, trace.ChainStopOccupied, port)
@@ -803,6 +832,9 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 	// allow it. When a fused run is rooted here, try to execute the
 	// whole run as one program first; a decline falls through to the
 	// per-operator link below with the lock still held.
+	if thr == nil && c.chainLeft == chainDepth {
+		s.chains.SourceCommits.Add(tid, 1)
+	}
 	if fr := s.fusedRuns[port]; fr != nil {
 		if s.tryFused(c, fr, port, batch, false) {
 			q.ConsUnlock()
@@ -810,7 +842,7 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 		}
 	}
 	// Execute the batch as if it had been drained here.
-	thr.chainBudget -= len(batch)
+	own.chainBudget -= len(batch)
 	depth := chainDepth - c.chainLeft + 1
 	if depth == 1 {
 		s.chains.Starts.Add(tid, 1)
@@ -824,7 +856,7 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 	ec := s.acquireCtx(p, tid, thr)
 	ec.chainLeft = c.chainLeft - 1
 	s.executeBatch(ec, p, batch)
-	thr.heartbeat.Add(1)
+	own.heartbeat.Add(1)
 	// Flush the chained frame's own submissions before releasing the
 	// consumer lock — the same discipline as schedule()'s drain, and
 	// where the next link of the chain opens.
@@ -832,6 +864,65 @@ func (s *Scheduler) tryChain(c *ctx, port int32, batch []tuple.Tuple) bool {
 	q.ConsUnlock()
 	s.releaseCtx(ec)
 	return true
+}
+
+// drainAhead runs, on a source frame holding port's consumer lock, the
+// tuples queued at port when it is called, and reports whether it ran
+// them all; the frame's partial batch may then commit behind them. The
+// frame is its stream's only producer and it is here, so every earlier
+// tuple of that stream is among them: per-stream FIFO holds without the
+// empty queue the commit otherwise requires (tuples other producers push
+// meanwhile belong to other streams).
+//
+// An input-bound source meets an occupied queue when one of its earlier
+// batches was queued — it was full, or its commit lost the lock — while
+// the scheduler threads, idle at such a load, sit in their timed
+// back-off: without the drain every later batch would queue behind it
+// until a back-off timer fired. It is reSchedule's self-help, taken at
+// an occupied queue rather than a full one and bounded by the queue's
+// capacity rather than reschedLimit; the drained batches execute as a
+// link of the source frame.
+func (s *Scheduler) drainAhead(c *ctx, port int32) bool {
+	// The queue bounds the drain, not the allowance: what the drained
+	// batches spend is given back, so the batch behind them commits
+	// with the allowance tryChain checked.
+	budget := c.own.chainBudget
+	bufp := s.acquireBatch(nil)
+	ec := s.acquireCtx(s.g.Ports[port], c.tid, nil)
+	ec.chainLeft = c.chainLeft - 1
+	ahead := s.queues[port].Queue().Len()
+	ran := s.drainQueued(c, ec, port, *bufp, ahead)
+	ec.endCoalesce()
+	s.releaseCtx(ec)
+	s.releaseBatch(nil, bufp)
+	c.own.chainBudget = budget
+	return ran == ahead
+}
+
+// drainQueued runs up to limit tuples queued at port, whose consumer
+// lock the caller holds, on the drain context ec: popped in batches
+// through buf, each batch through the port's fused run when it commits
+// and executeBatch otherwise, locks, indices and counters charged per
+// batch. It stops early when c's executor is asked to stop or suspend,
+// and returns how many tuples it ran.
+func (s *Scheduler) drainQueued(c, ec *ctx, port int32, buf []tuple.Tuple, limit int) int {
+	q := s.queues[port]
+	p := s.g.Ports[port]
+	fr := s.fusedRuns[port]
+	drained := 0
+	for drained < limit && !c.finished() && !c.suspendedNow() {
+		n := q.Queue().PopN(buf[:min(limit-drained, len(buf))])
+		if n == 0 {
+			break
+		}
+		if fr == nil || !s.tryFused(ec, fr, port, buf[:n], true) {
+			s.executeBatch(ec, p, buf[:n])
+		}
+		// A long self-help drain is progress, not a stall.
+		c.own.heartbeat.Add(1)
+		drained += n
+	}
+	return drained
 }
 
 // emitChainStop records a declined chain attempt in the trace (the
@@ -959,8 +1050,6 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 	var bufp *[]tuple.Tuple
 	var buf []tuple.Tuple
 	var ec *ctx
-	p := s.g.Ports[t.Port]
-	fr := s.fusedRuns[t.Port]
 	spins := 0
 	for !q.Push(t) && !c.finished() {
 		// A suspension request is honored before the consumer lock is
@@ -978,25 +1067,11 @@ func (s *Scheduler) reSchedule(q *lfq.Enforcer[tuple.Tuple], t tuple.Tuple, c *c
 				// chain links: it is already run-to-completion, and it
 				// may be running on a frame that owns no thread. It does
 				// run the port's fused program, which needs neither.
-				ec = s.acquireCtx(p, c.tid, c.thr)
+				ec = s.acquireCtx(s.g.Ports[t.Port], c.tid, c.thr)
 				ec.chainLeft = -1
 			}
-			// Drain at most reschedLimit+1 tuples (the pre-batching bound)
-			// in batches, charging locks, indices and counters per batch.
-			for drained <= s.reschedLimit && !c.finished() && !c.suspendedNow() {
-				want := s.reschedLimit + 1 - drained
-				if want > len(buf) {
-					want = len(buf)
-				}
-				n := q.Queue().PopN(buf[:want])
-				if n == 0 {
-					break
-				}
-				if fr == nil || !s.tryFused(ec, fr, t.Port, buf[:n], true) {
-					s.executeBatch(ec, p, buf[:n])
-				}
-				drained += n
-			}
+			// Drain at most reschedLimit+1 tuples (the pre-batching bound).
+			drained = s.drainQueued(c, ec, t.Port, buf, s.reschedLimit+1)
 			ec.endCoalesce()
 			q.ConsUnlock()
 		}
@@ -1039,9 +1114,18 @@ func (s *Scheduler) acquireCtx(p *graph.InPort, tid int, thr *Thread) *ctx {
 	}
 	// The slot table survives recycling: releaseCtx requires it empty.
 	id := p.Node.ID
-	*ec = ctx{s: s, node: p.Node, tid: tid, thr: thr,
+	*ec = ctx{s: s, node: p.Node, tid: tid, thr: thr, own: s.ownerOf(tid),
 		slotBase: s.slotBase[id], slots: ec.slots[:s.numSlots[id]]}
 	return ec
+}
+
+// ownerOf returns the owner of writer tid: scheduler thread tid, or
+// source tid-MaxThreads (the metric-shard convention of SourceSubmitter).
+func (s *Scheduler) ownerOf(tid int) *owner {
+	if tid < len(s.threads) {
+		return &s.threads[tid].owner
+	}
+	return &s.sources[tid-len(s.threads)].owner
 }
 
 // releaseCtx returns a drained port's context to its thread's free list,
@@ -1067,13 +1151,11 @@ func (s *Scheduler) releaseCtx(ec *ctx) {
 // and suspension flags are only consulted between batches by the
 // callers.
 func (s *Scheduler) executeBatch(ec *ctx, p *graph.InPort, batch []tuple.Tuple) {
-	if thr := ec.thr; thr != nil {
-		// Execution nests when operators drain downstream queues through
-		// reSchedule; restore rather than clear so the outermost frame
-		// keeps the thread marked active.
-		was := thr.active.Swap(true)
-		defer thr.active.Store(was)
-	}
+	// Execution nests when operators drain downstream queues through
+	// reSchedule; restore rather than clear so the outermost frame keeps
+	// its executor marked active.
+	was := ec.own.active.Swap(true)
+	defer ec.own.active.Store(was)
 	s.Execute(ec, ec.tid, p, batch)
 }
 
@@ -1091,16 +1173,20 @@ func (s *Scheduler) beginPortsClosed() {
 }
 
 // SourceSubmitter returns the Submitter a source operator thread uses to
-// inject tuples. srcIndex identifies the source thread (0-based) for
-// metric sharding.
+// inject tuples. srcIndex identifies the source thread (0-based, the
+// index into g.SourceNodes) for metric sharding and for the source's
+// owner. A SubmitBatch through it may run a partial batch to completion
+// on the source thread (tryChain); Submit always pushes.
 func (s *Scheduler) SourceSubmitter(node *graph.Node, srcIndex int) graph.Submitter {
-	return &ctx{s: s, node: node, tid: s.cfg.MaxThreads + srcIndex, thr: nil, stamp: s.cfg.Latency != nil}
+	tid := s.cfg.MaxThreads + srcIndex
+	return &ctx{s: s, node: node, tid: tid, own: s.ownerOf(tid), chainLeft: chainDepth, stamp: s.cfg.Latency != nil}
 }
 
 // SourceDone tells the scheduler a source operator has finished: the
 // scheduler emits final punctuation on all the source's output ports.
 func (s *Scheduler) SourceDone(node *graph.Node, srcIndex int) {
-	exec.Forward(&ctx{s: s, node: node, tid: s.cfg.MaxThreads + srcIndex}, node, tuple.Final())
+	tid := s.cfg.MaxThreads + srcIndex
+	exec.Forward(&ctx{s: s, node: node, tid: tid, own: s.ownerOf(tid)}, node, tuple.Final())
 }
 
 // Start launches the scheduler at thread level n (clamped to
@@ -1170,11 +1256,14 @@ func (s *Scheduler) SuspensionsEffective() bool {
 	return true
 }
 
-// Shutdown stops all scheduler threads and waits for them to exit, up
-// to the configured ShutdownTimeout. On expiry it returns an error
-// naming the threads that have not exited, with a goroutine dump, so a
-// wedged operator is diagnosable instead of hanging the process. The
-// caller must already have stopped source threads.
+// Shutdown stops all scheduler threads and waits for them to exit, and
+// for every source frame to leave operator code, up to the configured
+// ShutdownTimeout. On expiry it returns an error naming the threads that
+// have not exited and the sources still inside operator code, with a
+// goroutine dump, so a wedged operator is diagnosable instead of hanging
+// the process. The caller must already have asked source threads to
+// stop; a source blocked in reSchedule self-help leaves it here, when
+// the stop flags rise.
 func (s *Scheduler) Shutdown() error {
 	s.shutdownGlobal.Store(true)
 	s.levelMu.Lock()
@@ -1186,17 +1275,36 @@ func (s *Scheduler) Shutdown() error {
 	s.stopWatchdog()
 	if s.cfg.ShutdownTimeout < 0 {
 		s.wg.Wait()
+		for s.sourcesActive() != nil {
+			time.Sleep(time.Millisecond)
+		}
 		return nil
 	}
+	deadline := time.NewTimer(s.cfg.ShutdownTimeout)
+	defer deadline.Stop()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(done)
 	}()
+	expired := false
 	select {
 	case <-done:
+	case <-deadline.C:
+		expired = true
+	}
+	// Source frames hold no goroutine of the scheduler's to wait on:
+	// poll their active flags, which only a commit or a self-help drain
+	// raises, so this loop is entered only when a source is mid-batch.
+	for !expired && s.sourcesActive() != nil {
+		select {
+		case <-deadline.C:
+			expired = true
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if !expired {
 		return nil
-	case <-time.After(s.cfg.ShutdownTimeout):
 	}
 	var stuck []int
 	for i, t := range s.threads {
@@ -1204,12 +1312,31 @@ func (s *Scheduler) Shutdown() error {
 			stuck = append(stuck, i)
 		}
 	}
+	var what []string
+	if stuck != nil {
+		what = append(what, fmt.Sprintf("scheduler threads %v have not exited", stuck))
+	}
+	if srcs := s.sourcesActive(); srcs != nil {
+		what = append(what, fmt.Sprintf("sources %v are still in operator code", srcs))
+	}
 	last := ""
 	if lf := s.LastFault(); lf != "" {
 		last = " (last fault: " + lf + ")"
 	}
-	return fmt.Errorf("sched: shutdown deadline %v exceeded; scheduler threads %v have not exited%s\n%s",
-		s.cfg.ShutdownTimeout, stuck, last, fault.GoroutineDump(64<<10))
+	return fmt.Errorf("sched: shutdown deadline %v exceeded; %s%s\n%s",
+		s.cfg.ShutdownTimeout, strings.Join(what, ", "), last, fault.GoroutineDump(64<<10))
+}
+
+// sourcesActive returns the indices of the sources whose frames are
+// inside operator code, nil when none is.
+func (s *Scheduler) sourcesActive() []int {
+	var active []int
+	for i := range s.sources {
+		if s.sources[i].active.Load() {
+			active = append(active, i)
+		}
+	}
+	return active
 }
 
 // startWatchdog launches the stall watchdog once, if configured. Caller
@@ -1234,16 +1361,17 @@ func (s *Scheduler) stopWatchdog() {
 	s.watchdogWG.Wait()
 }
 
-// watchdog periodically sweeps the thread table for threads that are
-// inside operator code (active), not parked, and whose heartbeat epoch
-// has not advanced for longer than StallThreshold. Each stall episode is
-// reported once — counted in Faults.WatchdogStalls and described in
-// LastFault — and re-arms when the thread's heartbeat moves again. The
-// watchdog only observes per-thread atomics; it never touches
-// scheduling state, so a wedged thread cannot wedge its own detector.
+// watchdog periodically sweeps every executor — the thread table, then
+// the sources — for one that is inside operator code (active), not
+// parked, and whose heartbeat epoch has not advanced for longer than
+// StallThreshold. Each stall episode is reported once — counted in
+// Faults.WatchdogStalls and described in LastFault — and re-arms when
+// the executor's heartbeat moves again. The watchdog only observes the
+// owners' atomics; it never touches scheduling state, so a wedged
+// executor cannot wedge its own detector.
 func (s *Scheduler) watchdog() {
 	defer s.watchdogWG.Done()
-	n := len(s.threads)
+	n := len(s.threads) + len(s.sources)
 	last := make([]uint64, n)
 	since := make([]time.Time, n)
 	reported := make([]bool, n)
@@ -1256,9 +1384,10 @@ func (s *Scheduler) watchdog() {
 		case <-s.Done():
 			return
 		case now := <-ticker.C:
-			for i, t := range s.threads {
-				hb := t.heartbeat.Load()
-				if hb != last[i] || !t.active.Load() || t.parked.Load() {
+			for i := 0; i < n; i++ {
+				o := s.ownerOf(i)
+				hb := o.heartbeat.Load()
+				if hb != last[i] || !o.active.Load() || (i < len(s.threads) && s.threads[i].parked.Load()) {
 					last[i] = hb
 					since[i] = now
 					reported[i] = false
@@ -1271,11 +1400,20 @@ func (s *Scheduler) watchdog() {
 				if d := now.Sub(since[i]); d >= s.cfg.StallThreshold && !reported[i] {
 					reported[i] = true
 					s.ReportStall(i, fmt.Sprintf(
-						"sched: thread %d stuck in operator code for %v (heartbeat epoch %d)", i, d, hb))
+						"sched: %s stuck in operator code for %v (heartbeat epoch %d)", s.executorName(i), d, hb))
 				}
 			}
 		}
 	}
+}
+
+// executorName names writer tid in diagnostics: "thread N" for a
+// scheduler thread, "source N" for a source thread's frames.
+func (s *Scheduler) executorName(tid int) string {
+	if tid < len(s.threads) {
+		return fmt.Sprintf("thread %d", tid)
+	}
+	return fmt.Sprintf("source %d", tid-len(s.threads))
 }
 
 // Wait blocks until the graph drains (all ports closed) and then stops

@@ -41,11 +41,29 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	}
 
 	// 1002 ports are more than the 256-hint shards of any three running
-	// threads can hold, so the spill path runs; MaxThreads 6 gives the
+	// threads can hold, so the spill path can run; MaxThreads 6 gives the
 	// resize walk room.
 	s := New(g, Config{MaxThreads: 6, QueueCap: 16})
-	if c := s.shards[0].Cap(); c >= len(g.Ports) {
+	c := s.shards[0].Cap()
+	if c >= len(g.Ports) {
 		t.Fatalf("shard capacity %d holds all %d ports; the spill path is unreachable", c, len(g.Ports))
+	}
+	// Whether a running thread ever holds more hints than its shard
+	// takes depends on timing (under -race it often does not), so spill
+	// once for certain before any thread starts: move c+spill hints from
+	// the global list into thread 0's release path, which keeps c and
+	// spills the rest back. Every hint stays in the free structure
+	// exactly once.
+	const spill = 10
+	for i := 0; i < c+spill; i++ {
+		var port int32
+		if !s.freePorts.Pop(&port) {
+			t.Fatalf("global list ran dry after %d of %d hints", i, c+spill)
+		}
+		s.makePortFree(port, s.threads[0])
+	}
+	if got := s.Stats().Contention.Spill; got != spill {
+		t.Fatalf("moving %d hints into a %d-hint shard spilled %d, want %d", c+spill, c, got, spill)
 	}
 	s.Start(2)
 
@@ -100,7 +118,7 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	}
 	cont := s.Stats().Contention
 	if cont.Spill == 0 {
-		t.Errorf("%d ports over %d-hint shards produced no spills; spill path untested", len(g.Ports), s.shards[0].Cap())
+		t.Errorf("%d ports over %d-hint shards produced no spills; spill path untested", len(g.Ports), c)
 	}
 	t.Logf("contention after churn: %+v", cont)
 }

@@ -41,22 +41,13 @@ type Thread struct {
 
 	_ [128]byte // keep controller-written flags off the owner-hot line
 
-	// active is set while the thread is inside operator code and cleared
-	// while it is looking for work; the elastic controller uses it to
-	// detect threads stuck in user code that cannot be suspended
-	// (§4.1.5, §4.2.3).
-	active atomic.Bool
+	// owner holds the thread's active flag, heartbeat epoch and chain
+	// allowance, the state every frame the thread executes charges.
+	owner
 	// parked is set while the thread is waiting on its condition
 	// variable; the elastic controller checks that suspensions actually
 	// happened before trusting a measurement period.
 	parked atomic.Bool
-
-	// heartbeat is the thread's progress epoch: bumped once per executed
-	// batch, once per find-work iteration, and once per inline chain
-	// link. The watchdog reads it to tell "stuck inside one operator
-	// call" (active, not parked, epoch frozen) from "busy" (epoch
-	// advancing) without touching any scheduling state.
-	heartbeat atomic.Uint64
 
 	_ [128]byte // keep owner-hot stores off the cold tail's lines
 
@@ -100,14 +91,43 @@ type Thread struct {
 	// findTick counts findWorkSharded calls to pace the periodic global
 	// poll; thread-local, no synchronization.
 	findTick int
-	// chainBudget is the inline-chain tuple allowance remaining in the
-	// current top-level drain batch; schedule() refills it from
-	// Scheduler.chainBudget0 before each root executeBatch and tryChain
-	// draws it down. Thread-local, no synchronization.
-	chainBudget int
 	// rng is the thread's xorshift state for randomizing steal order;
 	// thread-local, never zero.
 	rng uint32
+}
+
+// owner is the state of one executor — a scheduler thread (embedded in
+// Thread) or a source thread (Scheduler.sources) — that every execution
+// frame running on it charges (ctx.own). Only the executor's own
+// goroutine writes it; the watchdog and the shutdown deadline read
+// active and heartbeat.
+type owner struct {
+	// active is set while the executor is inside operator code and
+	// cleared while it is looking for work (or, on a source, producing);
+	// the elastic controller uses a thread's to detect threads stuck in
+	// user code that cannot be suspended (§4.1.5, §4.2.3).
+	active atomic.Bool
+	// heartbeat is the progress epoch: bumped once per executed batch,
+	// once per find-work iteration, and once per inline chain link. The
+	// watchdog reads it to tell "stuck inside one operator call"
+	// (active, epoch frozen) from "busy" (epoch advancing) without
+	// touching any scheduling state.
+	heartbeat atomic.Uint64
+	// chainBudget is the inline-chain tuple allowance remaining in the
+	// current top-level batch: schedule() refills a thread's from
+	// Scheduler.chainBudget0 before each root executeBatch, a source
+	// frame's SubmitBatch refills the source's before each delivery, and
+	// tryChain and tryFused draw it down.
+	chainBudget int
+}
+
+// sourceOwner is one source thread's owner, padded on both sides so
+// that a source committing batches never writes a cache line another
+// source, or a neighbouring allocation, writes (the Thread layout rule).
+type sourceOwner struct {
+	_ [128]byte
+	owner
+	_ [128]byte
 }
 
 func newThread(id, batchCap int) *Thread {
