@@ -1,11 +1,18 @@
 GO ?= go
 
-.PHONY: all vet build test race check chaos chaos-ingest bench bench-contention bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
+.PHONY: all fmt-check vet build test race check chaos chaos-ingest bench bench-contention bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
 
 all: check
 
+# fmt-check fails when any Go file in the tree, the nested benchmark/
+# module included, is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
+# vet covers the nested benchmark/ module too, which ./... does not reach.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...
@@ -16,7 +23,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: vet build test race
+check: fmt-check vet build test race
 
 # fuzz-smoke runs every native fuzz target for 10 s: long enough to
 # replay the seed corpus and any checked-in crashers and to mutate a few
@@ -28,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExposition$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/spl
 	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 10s ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkReaders$$' -fuzztime 10s ./internal/xport
 
 # chaos runs the deterministic fault-injection soak under the race
 # detector: seeded panics, slowdowns and queue stalls inside the

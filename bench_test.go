@@ -18,7 +18,6 @@ import (
 	"streams"
 	"streams/internal/fig"
 	"streams/internal/pe"
-	"streams/internal/sched"
 	"streams/internal/sim"
 )
 
@@ -94,7 +93,7 @@ func benchTracePanels(b *testing.B, panels []fig.Panel) {
 
 // benchNative pushes b.N tuples through a real pipeline and reports
 // per-tuple cost.
-func benchNative(b *testing.B, model streams.Model, threads, depth int, scfg sched.Config) {
+func benchNative(b *testing.B, model streams.Model, threads, depth int, globalFreeList bool) {
 	b.Helper()
 	top := streams.NewTopology()
 	src := top.Add(&streams.Generator{Limit: uint64(b.N)}, 0, 1)
@@ -111,12 +110,11 @@ func benchNative(b *testing.B, model streams.Model, threads, depth int, scfg sch
 	if err != nil {
 		b.Fatal(err)
 	}
-	scfg.MaxThreads = max(threads, 1)
 	p, err := pe.New(g, pe.Config{
-		Model:      model,
-		Threads:    threads,
-		MaxThreads: max(threads, 1),
-		Sched:      scfg,
+		Model:          model,
+		Threads:        threads,
+		MaxThreads:     max(threads, 1),
+		GlobalFreeList: globalFreeList,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -135,7 +133,7 @@ func benchNative(b *testing.B, model streams.Model, threads, depth int, scfg sch
 func BenchmarkNativeModels(b *testing.B) {
 	for _, model := range []streams.Model{streams.ModelManual, streams.ModelDedicated, streams.ModelDynamic} {
 		b.Run(model.String(), func(b *testing.B) {
-			benchNative(b, model, 2, 16, sched.Config{})
+			benchNative(b, model, 2, 16, false)
 		})
 	}
 }
@@ -143,7 +141,7 @@ func BenchmarkNativeModels(b *testing.B) {
 func BenchmarkNativeDynamicThreads(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			benchNative(b, streams.ModelDynamic, threads, 16, sched.Config{})
+			benchNative(b, streams.ModelDynamic, threads, 16, false)
 		})
 	}
 }
@@ -157,10 +155,10 @@ func BenchmarkNativeDynamicThreads(b *testing.B) {
 // internal/sched.
 func BenchmarkAblationFreeListSharding(b *testing.B) {
 	b.Run("sharded", func(b *testing.B) {
-		benchNative(b, streams.ModelDynamic, 2, 16, sched.Config{})
+		benchNative(b, streams.ModelDynamic, 2, 16, false)
 	})
 	b.Run("global-paper", func(b *testing.B) {
-		benchNative(b, streams.ModelDynamic, 2, 16, sched.Config{GlobalFreeList: true})
+		benchNative(b, streams.ModelDynamic, 2, 16, true)
 	})
 }
 

@@ -35,6 +35,7 @@ import (
 	"streams/internal/ingest"
 	"streams/internal/metrics"
 	"streams/internal/obs"
+	"streams/internal/ops"
 	"streams/internal/pe"
 	"streams/internal/sim"
 	"streams/internal/trace"
@@ -113,14 +114,20 @@ func main() {
 			qa = 1 << 30 // effectively never
 		}
 		cfg := fig.NativeConfig{
-			Model: m, Threads: *threads, Duration: *dur, GlobalFreeList: *globalfl, VM: *vmFuse,
-			Fault: inj, QuarantineAfter: qa,
-			Elastic: *elastic, AdaptPeriod: *adapt, MaxThreads: *maxthreads,
+			PE: pe.Config{
+				Model: m, Threads: *threads, GlobalFreeList: *globalfl,
+				Fault: inj, QuarantineAfter: qa,
+				Elastic: *elastic, AdaptPeriod: *adapt, MaxThreads: *maxthreads,
+			},
+			Duration: *dur, VM: *vmFuse,
 		}
-		rings, err := fig.TraceRings(w, cfg)
+		// The ring count depends on the thread table and the source
+		// count, and every native topology has one source.
+		g, _, err := ops.Topology{Width: w.Width, Depth: w.Depth}.Build()
 		if err != nil {
 			fatal(err)
 		}
+		rings := pe.TraceRings(cfg.PEConfig(), g)
 		obsEnabled := *obsOn || *metricz || *flightrec != ""
 		var tr *trace.Tracer
 		obsRing := -1
@@ -142,12 +149,12 @@ func main() {
 			if obsRing >= 0 {
 				tr.SetLabel(obsRing, "obs")
 			}
-			cfg.Tracer = tr
+			cfg.PE.Tracer = tr
 		}
 		if *latency || *debugAddr != "" || obsEnabled {
 			// Shard count only tunes contention; Record masks the tid, so
 			// the dynamic ring count is a fine size for every model.
-			cfg.Latency = metrics.NewHistogram(rings)
+			cfg.PE.Latency = metrics.NewHistogram(rings)
 		}
 		var ingSrv *ingest.Server
 		var livePE atomic.Pointer[pe.PE]
@@ -196,7 +203,7 @@ func main() {
 			if obsEnabled {
 				rec := &obs.Recorder{Path: *flightrec, Tracer: tr}
 				col = obs.New(obs.Options{
-					PE: p, Ingest: ingSrv, Latency: cfg.Latency,
+					PE: p, Ingest: ingSrv, Latency: cfg.PE.Latency,
 					Tracer: tr, Ring: obsRing, Period: *obsPeriod,
 					Recorder: rec, Workload: w.String(),
 				})
@@ -207,7 +214,7 @@ func main() {
 			}
 			if *debugAddr != "" {
 				srv, err := debugz.Serve(*debugAddr, debugz.Options{
-					PE: p, Tracer: tr, Latency: cfg.Latency, Workload: w.String(),
+					PE: p, Tracer: tr, Latency: cfg.PE.Latency, Workload: w.String(),
 					Ingest: ingSrv, Obs: col,
 				})
 				if err != nil {

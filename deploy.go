@@ -1,9 +1,6 @@
 package streams
 
-import (
-	"streams/internal/fuse"
-	"streams/internal/pe"
-)
+import "streams/internal/fuse"
 
 // Deployment is a multi-PE execution of one topology: operators are
 // fused into `parts` processing elements and streams crossing PE
@@ -22,13 +19,7 @@ func Deploy(t *Topology, parts int, cfg RunConfig) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := fuse.Plan(g, parts, pe.Config{
-		Model:       cfg.Model,
-		Threads:     cfg.Threads,
-		MaxThreads:  cfg.MaxThreads,
-		AdaptPeriod: cfg.AdaptPeriod,
-		QueueCap:    cfg.QueueCap,
-	})
+	d, err := fuse.Plan(g, parts, cfg.peConfig())
 	if err != nil {
 		return nil, err
 	}

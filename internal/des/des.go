@@ -41,6 +41,7 @@ import (
 	"fmt"
 
 	"streams/internal/graph"
+	"streams/internal/sched"
 )
 
 // Costs are the per-action durations (nanoseconds of simulated time).
@@ -82,7 +83,8 @@ type Config struct {
 	Cores int
 	// Threads is the number of dynamic scheduler threads.
 	Threads int
-	// QueueCap is the per-port queue capacity.
+	// QueueCap is the per-port queue capacity. Default: the real
+	// scheduler's, sched.DefaultQueueCap.
 	QueueCap int
 	// ReschedLimit bounds reSchedule drains; 0 means QueueCap/4.
 	ReschedLimit int
@@ -274,7 +276,7 @@ func New(g *graph.Graph, cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("des: Threads must be positive")
 	}
 	if cfg.QueueCap < 1 {
-		cfg.QueueCap = 64
+		cfg.QueueCap = sched.DefaultQueueCap
 	}
 	if cfg.ReschedLimit == 0 {
 		cfg.ReschedLimit = cfg.QueueCap / 4

@@ -22,14 +22,11 @@ import (
 	"strings"
 	"time"
 
-	"streams/internal/fault"
 	"streams/internal/graph"
 	"streams/internal/metrics"
 	"streams/internal/ops"
 	"streams/internal/pe"
-	"streams/internal/sched"
 	"streams/internal/sim"
-	"streams/internal/trace"
 )
 
 // Panel is one sub-plot of an evaluation figure.
@@ -224,41 +221,17 @@ func TraceTable(p Panel, trace []sim.TracePoint, every int) string {
 
 // NativeConfig controls a real-runtime cross-check run.
 type NativeConfig struct {
-	// Model is the threading model to run.
-	Model pe.Model
-	// Threads is the dynamic thread level.
-	Threads int
+	// PE configures the processing element the run executes on. Two of
+	// its defaults differ for native runs, which are far shorter than
+	// production and sized to the host: AdaptPeriod defaults to 250ms,
+	// and MaxThreads to max(Threads, 1), elastic or not (see PEConfig).
+	PE pe.Config
 	// Duration is how long to measure after a brief warmup.
 	Duration time.Duration
-	// GlobalFreeList runs the dynamic scheduler with the paper's single
-	// global free list instead of the default sharded per-thread caches,
-	// for global-vs-sharded comparisons (EXPERIMENTS.md).
-	GlobalFreeList bool
 	// VM attaches bytecode programs to the topology's workers so the
 	// dynamic scheduler can fuse chain runs into superinstruction
 	// dispatch loops (streamsim -vm).
 	VM bool
-	// Fault, if non-nil, arms chaos injection at the runtime's operator
-	// and queue seams for the whole run (streamsim -chaos).
-	Fault *fault.Injector
-	// QuarantineAfter overrides the per-operator panic budget before
-	// quarantine (0 keeps the runtime default of 3).
-	QuarantineAfter int
-	// Elastic turns on runtime thread adaptation (dynamic model only):
-	// the run starts at the controller's minimum level and explores.
-	Elastic bool
-	// AdaptPeriod is the elastic measurement period (default 250ms for
-	// native runs, which are far shorter than production).
-	AdaptPeriod time.Duration
-	// MaxThreads caps the dynamic thread table; 0 keeps the default of
-	// max(Threads, 1) (or the host CPU count when Elastic is set).
-	MaxThreads int
-	// Tracer, if non-nil, records scheduler decisions for the whole run.
-	// Size it with TraceRings for this workload and config.
-	Tracer *trace.Tracer
-	// Latency, if non-nil, measures end-to-end tuple latency into this
-	// histogram (source-stamp to sink-drain).
-	Latency *metrics.Histogram
 	// OnStart, if set, observes the live PE right after Start — the hook
 	// the debug endpoint uses to attach to a running PE without this
 	// package importing the server.
@@ -268,6 +241,20 @@ type NativeConfig struct {
 	// places the network front end here). Throughput is still measured
 	// at the sink, so it reports whatever the source actually feeds.
 	Source graph.Source
+}
+
+// PEConfig returns the pe.Config RunNative runs with: cfg.PE with the
+// native-run defaults applied. Size a tracer for the run with
+// pe.TraceRings of it.
+func (cfg NativeConfig) PEConfig() pe.Config {
+	c := cfg.PE
+	if c.AdaptPeriod <= 0 {
+		c.AdaptPeriod = 250 * time.Millisecond
+	}
+	if c.MaxThreads <= 0 {
+		c.MaxThreads = max(c.Threads, 1)
+	}
+	return c
 }
 
 // NativeResult reports a native run: measured sink throughput plus the
@@ -284,31 +271,11 @@ type NativeResult struct {
 	// unless operators misbehaved or chaos injection was armed.
 	Faults metrics.FaultsSnapshot
 	// Latency is the end-to-end latency distribution (zero Total unless
-	// NativeConfig.Latency was set).
+	// NativeConfig.PE.Latency was set).
 	Latency metrics.HistogramSnapshot
 	// FinalLevel is the thread level at the end of the run (interesting
 	// under Elastic).
 	FinalLevel int
-}
-
-// TraceRings returns the ring count a tracer needs for RunNative with
-// this workload and config (see sched.TraceRings for the convention).
-func TraceRings(w sim.Workload, cfg NativeConfig) (int, error) {
-	topo := ops.Topology{Width: w.Width, Depth: w.Depth, Cost: w.Cost}
-	g, _, err := topo.Build()
-	if err != nil {
-		return 0, err
-	}
-	return sched.TraceRings(sched.Config{MaxThreads: nativeMaxThreads(cfg)}, g), nil
-}
-
-// nativeMaxThreads resolves the dynamic thread-table size RunNative
-// will use for cfg.
-func nativeMaxThreads(cfg NativeConfig) int {
-	if cfg.MaxThreads > 0 {
-		return cfg.MaxThreads
-	}
-	return max(cfg.Threads, 1)
 }
 
 // RunNative executes a (scaled-down) workload on the real runtime of
@@ -334,26 +301,12 @@ func RunNative(w sim.Workload, cfg NativeConfig) (NativeResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	if cfg.AdaptPeriod <= 0 {
-		cfg.AdaptPeriod = 250 * time.Millisecond
-	}
-	p, err := pe.New(g, pe.Config{
-		Model:           cfg.Model,
-		Threads:         cfg.Threads,
-		Elastic:         cfg.Elastic,
-		AdaptPeriod:     cfg.AdaptPeriod,
-		MaxThreads:      nativeMaxThreads(cfg),
-		Sched:           sched.Config{GlobalFreeList: cfg.GlobalFreeList},
-		Fault:           cfg.Fault,
-		QuarantineAfter: cfg.QuarantineAfter,
-		Tracer:          cfg.Tracer,
-		Latency:         cfg.Latency,
-	})
+	p, err := pe.New(g, cfg.PEConfig())
 	if err != nil {
 		return NativeResult{}, err
 	}
-	if cfg.Tracer != nil {
-		cfg.Tracer.Enable()
+	if cfg.PE.Tracer != nil {
+		cfg.PE.Tracer.Enable()
 	}
 	if err := p.Start(); err != nil {
 		return NativeResult{}, err
@@ -374,7 +327,7 @@ func RunNative(w sim.Workload, cfg NativeConfig) (NativeResult, error) {
 		Throughput: float64(delta) / elapsed,
 		Stats:      p.SchedStats(),
 		Faults:     p.FaultStats(),
-		Latency:    cfg.Latency.Snapshot(),
+		Latency:    cfg.PE.Latency.Snapshot(),
 		FinalLevel: level,
 	}, nil
 }

@@ -98,7 +98,7 @@ func TestRunNativeSmallWorkload(t *testing.T) {
 	}
 	for _, model := range []pe.Model{pe.Manual, pe.Dynamic} {
 		res, err := RunNative(sim.Workload{Width: 2, Depth: 5, Cost: 10},
-			NativeConfig{Model: model, Threads: 2, Duration: 300 * time.Millisecond})
+			NativeConfig{PE: pe.Config{Model: model, Threads: 2}, Duration: 300 * time.Millisecond})
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
@@ -119,7 +119,7 @@ func TestRunNativeAdaptiveAblations(t *testing.T) {
 		name string
 		cfg  NativeConfig
 	}{
-		{"elastic", NativeConfig{Model: pe.Dynamic, Threads: 2, Elastic: true, MaxThreads: 3, AdaptPeriod: 50 * time.Millisecond}},
+		{"elastic", NativeConfig{PE: pe.Config{Model: pe.Dynamic, Threads: 2, Elastic: true, MaxThreads: 3, AdaptPeriod: 50 * time.Millisecond}}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -142,6 +142,27 @@ func TestSortPanelsByID(t *testing.T) {
 	for i := 1; i < len(ps); i++ {
 		if ps[i-1].ID >= ps[i].ID {
 			t.Fatalf("not sorted at %d: %q >= %q", i, ps[i-1].ID, ps[i].ID)
+		}
+	}
+}
+
+// TestNativePEConfigDefaults pins fig's two native-run defaults — a
+// 250ms adaptation period and a thread table of max(Threads, 1), elastic
+// or not — and that explicit settings pass through untouched.
+func TestNativePEConfigDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		in         pe.Config
+		maxThreads int
+		period     time.Duration
+	}{
+		{pe.Config{}, 1, 250 * time.Millisecond},
+		{pe.Config{Threads: 3, Elastic: true}, 3, 250 * time.Millisecond},
+		{pe.Config{Threads: 3, MaxThreads: 5, AdaptPeriod: time.Second}, 5, time.Second},
+	} {
+		got := NativeConfig{PE: tc.in}.PEConfig()
+		if got.MaxThreads != tc.maxThreads || got.AdaptPeriod != tc.period {
+			t.Errorf("PEConfig(%+v): MaxThreads %d, AdaptPeriod %v; want %d, %v",
+				tc.in, got.MaxThreads, got.AdaptPeriod, tc.maxThreads, tc.period)
 		}
 	}
 }

@@ -16,9 +16,7 @@
 package pe
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +73,9 @@ type Sample struct {
 	Rule string
 }
 
-// Config parametrizes a PE. The fields it shares with Sched (MaxThreads,
-// QueueCap, Fault, QuarantineAfter, ShutdownTimeout, WatchdogInterval,
-// StallThreshold, Tracer, Latency) may be set in either place; New
-// rejects a field set in both places to different values.
+// Config parametrizes a PE. It is the one place a PE setting is
+// declared: New resolves the defaults and builds the dynamic
+// scheduler's sched.Config from the result.
 type Config struct {
 	// Model selects the threading model. Default Dynamic.
 	Model Model
@@ -90,17 +87,17 @@ type Config struct {
 	// AdaptPeriod is the elasticity measurement period. Default 10s,
 	// the product's setting; tests and benchmarks use much less.
 	AdaptPeriod time.Duration
-	// MaxThreads caps the dynamic thread level. Default: the number of
-	// logical CPUs, the paper's oversubscription guard (§4.2.3).
+	// MaxThreads caps the dynamic thread level; the scheduler's thread
+	// table is MaxThreads raised to Threads. Default
+	// sched.DefaultMaxThreads().
 	MaxThreads int
 	// CPUUsage supplies the elasticity CPU gate; nil selects /proc/stat.
 	CPUUsage cpuutil.UsageFunc
-	// Sched tunes the dynamic scheduler.
-	Sched sched.Config
 	// Trace, if set, observes every adaptation period.
 	Trace func(Sample)
 	// QueueCap is the per-input-port queue capacity of the dedicated and
-	// dynamic models. Default 64.
+	// dynamic models; it must be a power of two. Default
+	// sched.DefaultQueueCap.
 	QueueCap int
 	// Fault installs a chaos injector, consulted at the operator and
 	// queue seams of whichever runner executes the graph. Nil (the
@@ -111,7 +108,8 @@ type Config struct {
 	QuarantineAfter int
 	// ShutdownTimeout bounds Stop's wait for the sources to return and
 	// the graph to drain, and the dynamic scheduler's wait for its
-	// threads to exit on shutdown. Default 60s; negative waits forever.
+	// threads to exit on shutdown. It must not be negative. Default
+	// sched.DefaultShutdownTimeout.
 	ShutdownTimeout time.Duration
 	// WatchdogInterval enables the dynamic scheduler's stall watchdog at
 	// the given sweep period. 0 (the default) disables it.
@@ -129,6 +127,10 @@ type Config struct {
 	// source-submit seam, charged to this histogram at the sink-drain
 	// seam. Honored by every threading model.
 	Latency *metrics.Histogram
+	// GlobalFreeList runs the dynamic scheduler on the paper's single
+	// global free list instead of the sharded per-thread caches (see
+	// sched.Config.GlobalFreeList).
+	GlobalFreeList bool
 }
 
 // PE is a processing element executing one graph. Create with New, run
@@ -179,15 +181,18 @@ type runner interface {
 
 // New validates the configuration and builds a PE.
 func New(g *graph.Graph, cfg Config) (*PE, error) {
-	if cfg.Threads < 0 {
+	cfg = cfg.withDefaults()
+	// Rejected here for every model, so each runner receives values it
+	// can run (the queue constructors panic on a bad capacity).
+	switch {
+	case cfg.Threads < 0:
 		return nil, fmt.Errorf("pe: negative thread count %d", cfg.Threads)
-	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Elastic && cfg.Model != Dynamic {
+	case cfg.Elastic && cfg.Model != Dynamic:
 		return nil, fmt.Errorf("pe: elasticity requires the dynamic model, got %v", cfg.Model)
+	case cfg.QueueCap < 1 || cfg.QueueCap&(cfg.QueueCap-1) != 0:
+		return nil, fmt.Errorf("pe: QueueCap %d is not a positive power of two", cfg.QueueCap)
+	case cfg.ShutdownTimeout < 0:
+		return nil, fmt.Errorf("pe: negative ShutdownTimeout %v", cfg.ShutdownTimeout)
 	}
 	pe := &PE{
 		g:            g,
@@ -212,7 +217,7 @@ func New(g *graph.Graph, cfg Config) (*PE, error) {
 		pe.core = exec.New(g, opts)
 		pe.runner = newDedicatedRunner(g, pe.core, cfg.QueueCap, cfg.Fault, cfg.Latency != nil)
 	case Dynamic:
-		d := &dynamicRunner{s: sched.New(g, cfg.Sched), g: g, initial: cfg.Threads}
+		d := &dynamicRunner{s: sched.New(g, cfg.schedConfig()), g: g, initial: cfg.Threads}
 		pe.core, pe.runner = d.s.Core, d
 	default:
 		return nil, fmt.Errorf("pe: unknown threading model %v", cfg.Model)
@@ -221,60 +226,42 @@ func New(g *graph.Graph, cfg Config) (*PE, error) {
 	return pe, nil
 }
 
-// withDefaults fills in the defaults and reconciles the fields Config
-// shares with its Sched block, leaving both copies equal except
-// Sched.MaxThreads, which becomes the dynamic scheduler's thread-table
-// size: MaxThreads, raised to Threads.
-func (cfg Config) withDefaults() (Config, error) {
+// withDefaults fills in the defaults; the scheduler settings take the
+// scheduler's own.
+func (cfg Config) withDefaults() Config {
 	if cfg.Threads == 0 {
 		cfg.Threads = 1
 	}
 	if cfg.AdaptPeriod == 0 {
 		cfg.AdaptPeriod = 10 * time.Second
 	}
-	sc := &cfg.Sched
-	err := errors.Join(
-		shared("MaxThreads", &cfg.MaxThreads, &sc.MaxThreads),
-		shared("QueueCap", &cfg.QueueCap, &sc.QueueCap),
-		shared("Fault", &cfg.Fault, &sc.Fault),
-		shared("QuarantineAfter", &cfg.QuarantineAfter, &sc.QuarantineAfter),
-		shared("ShutdownTimeout", &cfg.ShutdownTimeout, &sc.ShutdownTimeout),
-		shared("WatchdogInterval", &cfg.WatchdogInterval, &sc.WatchdogInterval),
-		shared("StallThreshold", &cfg.StallThreshold, &sc.StallThreshold),
-		shared("Tracer", &cfg.Tracer, &sc.Tracer),
-		shared("Latency", &cfg.Latency, &sc.Latency),
-	)
 	if cfg.MaxThreads == 0 {
-		cfg.MaxThreads = runtime.NumCPU()
+		cfg.MaxThreads = sched.DefaultMaxThreads()
 	}
-	sc.MaxThreads = max(cfg.MaxThreads, cfg.Threads)
-	// Resolved and checked here for every model, so both runners receive
-	// a valid capacity (the queue constructors panic on any other).
 	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 64
+		cfg.QueueCap = sched.DefaultQueueCap
 	}
-	if q := cfg.QueueCap; q < 1 || q&(q-1) != 0 {
-		err = errors.Join(err, fmt.Errorf("pe: QueueCap %d is not a positive power of two", q))
+	if cfg.ShutdownTimeout == 0 {
+		cfg.ShutdownTimeout = sched.DefaultShutdownTimeout
 	}
-	sc.QueueCap = cfg.QueueCap
-	return cfg, err
+	return cfg
 }
 
-// shared reconciles a field set in Config (top) and in Config.Sched
-// (sub): a value set in one place is copied to the other, and different
-// values set in both are an error.
-func shared[T comparable](name string, top, sub *T) error {
-	var zero T
-	switch {
-	case *top == *sub:
-	case *top == zero:
-		*top = *sub
-	case *sub == zero:
-		*sub = *top
-	default:
-		return fmt.Errorf("pe: %s is %v in Config but %v in Config.Sched", name, *top, *sub)
+// schedConfig is the dynamic scheduler's configuration, built from the
+// resolved cfg. The thread table is MaxThreads raised to Threads.
+func (cfg Config) schedConfig() sched.Config {
+	return sched.Config{
+		QueueCap:         cfg.QueueCap,
+		MaxThreads:       max(cfg.MaxThreads, cfg.Threads),
+		Fault:            cfg.Fault,
+		QuarantineAfter:  cfg.QuarantineAfter,
+		ShutdownTimeout:  cfg.ShutdownTimeout,
+		WatchdogInterval: cfg.WatchdogInterval,
+		StallThreshold:   cfg.StallThreshold,
+		Tracer:           cfg.Tracer,
+		Latency:          cfg.Latency,
+		GlobalFreeList:   cfg.GlobalFreeList,
 	}
-	return nil
 }
 
 func (pe *PE) initialLevel() int {
@@ -301,11 +288,9 @@ func (pe *PE) Start() error {
 	// stop (the ingest front end flushes admitted tuples): their flush
 	// must fit inside the same budget Stop waits for them, or Stop would
 	// cut it short.
-	if dd := pe.shutdownTimeout(); dd >= 0 {
-		for _, n := range pe.g.SourceNodes {
-			if s, ok := n.Op.(interface{ SetDrainDeadline(time.Duration) }); ok {
-				s.SetDrainDeadline(dd)
-			}
+	for _, n := range pe.g.SourceNodes {
+		if s, ok := n.Op.(interface{ SetDrainDeadline(time.Duration) }); ok {
+			s.SetDrainDeadline(pe.cfg.ShutdownTimeout)
 		}
 	}
 	for i, n := range pe.g.SourceNodes {
@@ -391,8 +376,7 @@ func (pe *PE) applyLevel(dyn *dynamicRunner, level int) {
 // elasticity controller (the last ring). Build the tracer with
 // trace.New(pe.TraceRings(cfg, g), 0) and pass it in cfg.Tracer.
 func TraceRings(cfg Config, g *graph.Graph) int {
-	cfg, _ = cfg.withDefaults() // New rejects a conflicting cfg
-	return sched.TraceRings(cfg.Sched, g)
+	return sched.TraceRings(cfg.withDefaults().schedConfig(), g)
 }
 
 // LevelTrace emits one KindElastic trace event per elasticity level
@@ -581,12 +565,8 @@ func (pe *PE) Stop() {
 		return
 	}
 	close(pe.stopSources)
-	var expired <-chan time.Time
-	if d := pe.shutdownTimeout(); d >= 0 {
-		deadline := time.NewTimer(d)
-		defer deadline.Stop()
-		expired = deadline.C
-	}
+	deadline := time.NewTimer(pe.cfg.ShutdownTimeout)
+	defer deadline.Stop()
 	sourcesDone := make(chan struct{})
 	go func() {
 		pe.sourcesWG.Wait()
@@ -596,10 +576,10 @@ func (pe *PE) Stop() {
 	case <-sourcesDone:
 		select {
 		case <-pe.core.Done():
-		case <-expired:
+		case <-deadline.C:
 			pe.setErr(pe.deadlineErr("the graph has not drained"))
 		}
-	case <-expired:
+	case <-deadline.C:
 		var stuck []string
 		for i, n := range pe.g.SourceNodes {
 			if !pe.sourceExited[i].Load() {
@@ -611,14 +591,6 @@ func (pe *PE) Stop() {
 	pe.finish()
 }
 
-// shutdownTimeout resolves Config.ShutdownTimeout's default.
-func (pe *PE) shutdownTimeout() time.Duration {
-	if pe.cfg.ShutdownTimeout == 0 {
-		return 60 * time.Second
-	}
-	return pe.cfg.ShutdownTimeout
-}
-
 // deadlineErr is Stop's deadline error: what is stuck, the last
 // contained fault, and a goroutine dump.
 func (pe *PE) deadlineErr(what string) error {
@@ -627,7 +599,7 @@ func (pe *PE) deadlineErr(what string) error {
 		last = " (last fault: " + lf + ")"
 	}
 	return fmt.Errorf("pe: shutdown deadline %v exceeded; %s%s\n%s",
-		pe.shutdownTimeout(), what, last, fault.GoroutineDump(64<<10))
+		pe.cfg.ShutdownTimeout, what, last, fault.GoroutineDump(64<<10))
 }
 
 // finish stops the adaptation loop and the runner. It does not wait for

@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"streams/internal/cpuutil"
-	"streams/internal/fault"
 	"streams/internal/graph"
-	"streams/internal/metrics"
 	"streams/internal/ops"
-	"streams/internal/sched"
-	"streams/internal/trace"
 	"streams/internal/tuple"
 )
 
@@ -91,44 +87,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, Config{Model: Model(42)}); err == nil {
 		t.Error("unknown model accepted")
 	}
-}
-
-// TestSharedConfigFields checks the one precedence rule for the fields
-// Config shares with Config.Sched: either copy may set a field, both
-// may set it to the same value, and New rejects different values.
-func TestSharedConfigFields(t *testing.T) {
-	g := pipelineGraph(t, 1, 1, &ops.Sink{})
-	inj, hist, tr := fault.New(fault.Config{}), metrics.NewHistogram(1), trace.New(1, 16)
-	cases := []struct {
-		name  string
-		cfg   Config
-		valid bool
-	}{
-		{"MaxThreads", Config{MaxThreads: 2, Sched: sched.Config{MaxThreads: 3}}, false},
-		{"QueueCap", Config{QueueCap: 16, Sched: sched.Config{QueueCap: 32}}, false},
-		{"Fault", Config{Fault: inj, Sched: sched.Config{Fault: fault.New(fault.Config{})}}, false},
-		{"QuarantineAfter", Config{QuarantineAfter: 1, Sched: sched.Config{QuarantineAfter: 2}}, false},
-		{"ShutdownTimeout", Config{ShutdownTimeout: time.Second, Sched: sched.Config{ShutdownTimeout: -1}}, false},
-		{"WatchdogInterval", Config{WatchdogInterval: time.Second, Sched: sched.Config{WatchdogInterval: time.Minute}}, false},
-		{"StallThreshold", Config{StallThreshold: time.Second, Sched: sched.Config{StallThreshold: time.Minute}}, false},
-		{"Tracer", Config{Tracer: tr, Sched: sched.Config{Tracer: trace.New(1, 16)}}, false},
-		{"Latency", Config{Latency: hist, Sched: sched.Config{Latency: metrics.NewHistogram(1)}}, false},
-		{"equal", Config{QueueCap: 16, Fault: inj, Tracer: tr, Latency: hist,
-			Sched: sched.Config{QueueCap: 16, Fault: inj, Tracer: tr, Latency: hist}}, true},
-		{"top only", Config{QueueCap: 16, QuarantineAfter: 2}, true},
-		{"sched only", Config{Sched: sched.Config{QueueCap: 16, QuarantineAfter: 2}}, true},
-	}
-	for _, tc := range cases {
-		for _, model := range []Model{Manual, Dedicated, Dynamic} {
-			tc.cfg.Model = model
-			p, err := New(g, tc.cfg)
-			if tc.valid != (err == nil) {
-				t.Errorf("%s/%v: New error %v, want valid=%v", tc.name, model, err, tc.valid)
-				continue
-			}
-			if err == nil && (p.cfg.QueueCap != 16 || p.cfg.QuarantineAfter != p.cfg.Sched.QuarantineAfter) {
-				t.Errorf("%s/%v: copies not reconciled: %+v", tc.name, model, p.cfg)
-			}
+	for _, model := range []Model{Manual, Dedicated, Dynamic} {
+		if _, err := New(g, Config{Model: model, ShutdownTimeout: -time.Second}); err == nil {
+			t.Errorf("%v: negative ShutdownTimeout accepted", model)
 		}
 	}
 }
@@ -349,14 +310,15 @@ func TestDoubleStartRejected(t *testing.T) {
 }
 
 // TestDynamicWithExplicitSchedConfig plumbs custom scheduler settings
-// through the PE.
+// through the PE's Config.
 func TestDynamicWithExplicitSchedConfig(t *testing.T) {
 	snk := &ops.Sink{}
 	g := pipelineGraph(t, 8, 3000, snk)
 	p, err := New(g, Config{
-		Model:   Dynamic,
-		Threads: 2,
-		Sched:   sched.Config{QueueCap: 4, MaxThreads: 2},
+		Model:      Dynamic,
+		Threads:    2,
+		QueueCap:   4,
+		MaxThreads: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

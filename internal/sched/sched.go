@@ -45,13 +45,14 @@ import (
 // Config parametrizes a Scheduler. The zero value selects the defaults
 // the product uses where the paper reports them; the paper's other
 // settings are fixed (see reschedLimit, delayThreshold, chainDepth and
-// the shard capacity in New).
+// the shard capacity in New). Outside tests, pe.New builds the Config
+// from the resolved pe.Config, where a PE's callers set these fields.
 type Config struct {
 	// QueueCap is the per-input-port queue capacity; it must be a power
-	// of two. Default 64.
+	// of two. Default DefaultQueueCap.
 	QueueCap int
 	// MaxThreads is the size of the scheduler thread table, the largest
-	// thread level elasticity may reach. Default runtime.NumCPU().
+	// thread level elasticity may reach. Default DefaultMaxThreads().
 	MaxThreads int
 
 	// Fault optionally installs a chaos injector at the scheduler's
@@ -67,8 +68,8 @@ type Config struct {
 	// ShutdownTimeout bounds how long Shutdown waits for scheduler
 	// threads to exit, and source frames to leave operator code, before
 	// returning a diagnostic error naming the stuck ones (with a
-	// goroutine dump). Default 60s; negative waits forever (the
-	// pre-containment behavior).
+	// goroutine dump). It must not be negative (pe.New rejects that).
+	// Default DefaultShutdownTimeout.
 	ShutdownTimeout time.Duration
 	// WatchdogInterval enables the scheduler watchdog: every interval it
 	// checks each running thread's and each source's heartbeat epoch and
@@ -101,18 +102,31 @@ type Config struct {
 	GlobalFreeList bool
 }
 
+// Defaults of the zero Config fields that a PE needs under its other
+// threading models too; pe.New resolves its Config with them.
+const (
+	DefaultQueueCap        = 64
+	DefaultShutdownTimeout = 60 * time.Second
+)
+
+// DefaultMaxThreads is MaxThreads' default: the logical CPU count, the
+// paper's oversubscription guard (§4.2.3).
+func DefaultMaxThreads() int { return runtime.NumCPU() }
+
+// withDefaults resolves the zero fields. A bad QueueCap panics: pe.New
+// rejects it with an error first.
 func (c Config) withDefaults() Config {
 	if c.QueueCap == 0 {
-		c.QueueCap = 64
+		c.QueueCap = DefaultQueueCap
 	}
 	if c.QueueCap < 1 || c.QueueCap&(c.QueueCap-1) != 0 {
 		panic(fmt.Sprintf("sched: QueueCap %d is not a positive power of two", c.QueueCap))
 	}
 	if c.MaxThreads == 0 {
-		c.MaxThreads = runtime.NumCPU()
+		c.MaxThreads = DefaultMaxThreads()
 	}
 	if c.ShutdownTimeout == 0 {
-		c.ShutdownTimeout = 60 * time.Second
+		c.ShutdownTimeout = DefaultShutdownTimeout
 	}
 	if c.StallThreshold == 0 {
 		c.StallThreshold = 2 * c.WatchdogInterval
@@ -1273,13 +1287,6 @@ func (s *Scheduler) Shutdown() error {
 	}
 	s.levelMu.Unlock()
 	s.stopWatchdog()
-	if s.cfg.ShutdownTimeout < 0 {
-		s.wg.Wait()
-		for s.sourcesActive() != nil {
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	}
 	deadline := time.NewTimer(s.cfg.ShutdownTimeout)
 	defer deadline.Stop()
 	done := make(chan struct{})

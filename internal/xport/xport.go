@@ -191,7 +191,8 @@ type Export struct {
 	jit           uint64
 
 	// acked is the peer's cumulative processed count, advanced by the
-	// per-connection ack reader; atomic so that reader never needs mu.
+	// per-connection ack reader, which checks each ack against xseq under mu
+	// but advances acked without it.
 	acked atomic.Uint64
 }
 
@@ -385,9 +386,6 @@ func (e *Export) flushLocked() error {
 // frames, not O(stream).
 func (e *Export) pruneLocked() {
 	acked := e.acked.Load()
-	if acked > e.xseq {
-		acked = e.xseq
-	}
 	n := acked - e.retainBase
 	if n*frameSize < pruneBytes {
 		return
@@ -500,24 +498,32 @@ func (e *Export) handshakeLocked(conn net.Conn) error {
 }
 
 // ackLoop reads cumulative acks from one connection until it dies,
-// marking the connection dead if it is still the current one.
+// marking the connection dead if it is still the current one. An ack
+// beyond the frames sent is a protocol error that kills the connection
+// too: the peer acknowledges frames it cannot have processed, so the
+// resume handshake, not the ack, must decide where the stream stands.
 func (e *Export) ackLoop(conn net.Conn) {
 	var buf [8]byte
 	for {
-		if _, err := io.ReadFull(conn, buf[:]); err != nil {
-			e.mu.Lock()
+		_, err := io.ReadFull(conn, buf[:])
+		a := binary.BigEndian.Uint64(buf[:])
+		e.mu.Lock()
+		if err != nil || a > e.xseq {
 			if e.conn == conn {
 				e.connDead = true
 			}
 			e.mu.Unlock()
+			conn.Close()
 			return
 		}
-		e.ackTo(binary.BigEndian.Uint64(buf[:]))
+		e.mu.Unlock()
+		e.ackTo(a)
 	}
 }
 
 // ackTo advances acked monotonically (acks from an old connection may
-// race a newer resume position).
+// race a newer resume position). Callers have checked a against xseq,
+// so acked never passes the frames sent.
 func (e *Export) ackTo(a uint64) {
 	for {
 		cur := e.acked.Load()

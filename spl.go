@@ -2,7 +2,6 @@ package streams
 
 import (
 	"io"
-	"time"
 
 	"streams/internal/pe"
 	"streams/internal/spl"
@@ -76,9 +75,6 @@ func (p *SPLProgram) Run(cfg RunConfig) (*Job, error) {
 		if cfg.Threads == 0 && threads > 0 {
 			cfg.Threads = threads
 		}
-	}
-	if cfg.AdaptPeriod == 0 {
-		cfg.AdaptPeriod = 10 * time.Second
 	}
 	return RunGraph(p.compiled.Graph, cfg)
 }

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"streams/internal/cpuutil"
 	"streams/internal/graph"
 	"streams/internal/ops"
 	"streams/internal/pe"
@@ -136,7 +135,9 @@ type RunConfig struct {
 	MaxThreads int
 	// AdaptPeriod is the elasticity measurement period (default 10s).
 	AdaptPeriod time.Duration
-	// Trace observes every adaptation period (elastic runs).
+	// Trace observes every adaptation period (elastic runs). Under
+	// Deploy every PE calls it, once per PE per period, so it may be
+	// called concurrently.
 	Trace func(Sample)
 	// QueueCap overrides the per-port queue capacity (power of two).
 	QueueCap int
@@ -161,20 +162,7 @@ func Run(t *Topology, cfg RunConfig) (*Job, error) {
 
 // RunGraph starts executing an already-built graph.
 func RunGraph(g *Graph, cfg RunConfig) (*Job, error) {
-	var usage cpuutil.UsageFunc
-	if cfg.CPUUsage != nil {
-		usage = cfg.CPUUsage
-	}
-	p, err := pe.New(g, pe.Config{
-		Model:       cfg.Model,
-		Threads:     cfg.Threads,
-		Elastic:     cfg.Elastic,
-		MaxThreads:  cfg.MaxThreads,
-		AdaptPeriod: cfg.AdaptPeriod,
-		Trace:       cfg.Trace,
-		CPUUsage:    usage,
-		QueueCap:    cfg.QueueCap,
-	})
+	p, err := pe.New(g, cfg.peConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +170,21 @@ func RunGraph(g *Graph, cfg RunConfig) (*Job, error) {
 		return nil, err
 	}
 	return &Job{pe: p}, nil
+}
+
+// peConfig is the one RunConfig → pe.Config conversion, shared by
+// RunGraph, Deploy and SPLProgram.Run.
+func (cfg RunConfig) peConfig() pe.Config {
+	return pe.Config{
+		Model:       cfg.Model,
+		Threads:     cfg.Threads,
+		Elastic:     cfg.Elastic,
+		MaxThreads:  cfg.MaxThreads,
+		AdaptPeriod: cfg.AdaptPeriod,
+		Trace:       cfg.Trace,
+		QueueCap:    cfg.QueueCap,
+		CPUUsage:    cfg.CPUUsage,
+	}
 }
 
 // Wait blocks until all sources finish and the graph drains, then

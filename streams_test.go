@@ -4,6 +4,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,5 +235,32 @@ func TestDeployAcrossPEs(t *testing.T) {
 	}
 	if snk.Count() != n {
 		t.Fatalf("sink saw %d of %d tuples", snk.Count(), n)
+	}
+}
+
+// TestDeployElasticTrace checks that Deploy hands every RunConfig
+// setting to its PEs: an elastic two-PE deployment must report
+// adaptation periods through Trace, gated by CPUUsage.
+func TestDeployElasticTrace(t *testing.T) {
+	top, _ := pipeline(t, 0, 4)
+	var samples, gated atomic.Int64
+	d, err := streams.Deploy(top, 2, streams.RunConfig{
+		Elastic:     true,
+		MaxThreads:  2,
+		AdaptPeriod: 10 * time.Millisecond,
+		CPUUsage:    func() (float64, error) { gated.Add(1); return 0.1, nil },
+		Trace:       func(streams.Sample) { samples.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	for deadline := time.Now().Add(10 * time.Second); samples.Load() < 4 || gated.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s: %d Trace samples, %d CPUUsage reads", samples.Load(), gated.Load())
+		}
 	}
 }
