@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt-check vet build test race check chaos chaos-ingest bench bench-contention bench-vm bench-ingest bench-obs bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
+.PHONY: all fmt-check vet build test race check chaos chaos-ingest bench bench-contention bench-vm bench-ingest bench-obs orphan-check bench-ledger-test bench-ledger-quick fused-smoke trace-smoke obs-smoke fuzz-smoke hot-sizes
 
 all: check
 
@@ -23,7 +23,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: fmt-check vet build test race
+# orphan-check fails when a package under internal/ has no importer
+# among the non-test packages of the root module or of the nested
+# benchmark/ module: code only its own tests reach ships nothing.
+orphan-check:
+	@used=$$( { $(GO) list -f '{{join .Imports "\n"}}' ./... && cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } ) || exit 1; \
+	orphans=$$($(GO) list ./internal/... | grep -vxF -e "$$used"); \
+	if [ -n "$$orphans" ]; then echo "internal packages with no non-test importer:"; echo "$$orphans"; exit 1; fi
+
+check: fmt-check orphan-check vet build test race
 
 # fuzz-smoke runs every native fuzz target for 10 s: long enough to
 # replay the seed corpus and any checked-in crashers and to mutate a few

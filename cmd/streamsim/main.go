@@ -58,7 +58,7 @@ func main() {
 		model    = flag.String("model", "dynamic", "native: manual, dedicated or dynamic")
 		threads  = flag.Int("threads", 2, "native: dynamic thread count")
 		dur      = flag.Duration("dur", 2*time.Second, "native: measurement duration")
-		globalfl = flag.Bool("globalfl", false, "native: use the paper's single global free list instead of the sharded per-thread caches")
+		globalfl = flag.Bool("globalfl", false, "native, dynamic model only: use the paper's single global free list instead of the sharded per-thread caches")
 		vmFuse   = flag.Bool("vm", false, "native: attach bytecode programs to workers so chain runs execute as fused superinstruction programs")
 
 		chaos      = flag.String("chaos", "", "native: chaos spec, e.g. panic=0.001,slow=0.001:20us,stall=0.001:20us (see internal/fault)")

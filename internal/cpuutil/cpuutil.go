@@ -123,14 +123,10 @@ func (r *procStatReader) sample() (busy, total uint64, err error) {
 	return parseStat(r.buf[:n])
 }
 
-// ParseStatLine extracts busy and total jiffies from the first "cpu "
-// line of /proc/stat content. Busy excludes idle and iowait.
-func ParseStatLine(content string) (busy, total uint64, err error) {
-	return parseStat([]byte(content))
-}
-
-// parseStat is the allocation-free core of ParseStatLine, scanning the
-// buffer in place instead of splitting it into per-field strings.
+// parseStat extracts busy and total jiffies from the first "cpu " line
+// of /proc/stat content. Busy excludes idle and iowait. It scans the
+// buffer in place instead of splitting it into per-field strings, so a
+// read allocates nothing.
 func parseStat(b []byte) (busy, total uint64, err error) {
 	for len(b) > 0 {
 		line := b

@@ -7,7 +7,7 @@ import (
 
 func TestParseStatLine(t *testing.T) {
 	content := "cpu  100 0 50 800 50 0 0 0 0 0\ncpu0 1 2 3 4\n"
-	busy, total, err := ParseStatLine(content)
+	busy, total, err := parseStat([]byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestParseStatLineErrors(t *testing.T) {
 		"cpu  1 2 3 4 \x00\n",                 // binary garbage field
 	}
 	for _, c := range cases {
-		if _, _, err := ParseStatLine(c); err == nil {
-			t.Errorf("ParseStatLine(%q) succeeded, want error", c)
+		if _, _, err := parseStat([]byte(c)); err == nil {
+			t.Errorf("parseStat(%q) succeeded, want error", c)
 		}
 	}
 }
@@ -43,7 +43,7 @@ func TestParseStatLineErrors(t *testing.T) {
 func TestParseStatLineTruncatedTail(t *testing.T) {
 	// A read cut mid-file must still parse if the aggregate line itself
 	// survived intact (no trailing newline).
-	busy, total, err := ParseStatLine("cpu  100 0 50 800 50")
+	busy, total, err := parseStat([]byte("cpu  100 0 50 800 50"))
 	if err != nil {
 		t.Fatal(err)
 	}

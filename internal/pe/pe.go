@@ -129,7 +129,8 @@ type Config struct {
 	Latency *metrics.Histogram
 	// GlobalFreeList runs the dynamic scheduler on the paper's single
 	// global free list instead of the sharded per-thread caches (see
-	// sched.Config.GlobalFreeList).
+	// sched.Config.GlobalFreeList). Dynamic only: the other models have
+	// no free list.
 	GlobalFreeList bool
 }
 
@@ -189,6 +190,8 @@ func New(g *graph.Graph, cfg Config) (*PE, error) {
 		return nil, fmt.Errorf("pe: negative thread count %d", cfg.Threads)
 	case cfg.Elastic && cfg.Model != Dynamic:
 		return nil, fmt.Errorf("pe: elasticity requires the dynamic model, got %v", cfg.Model)
+	case cfg.GlobalFreeList && cfg.Model != Dynamic:
+		return nil, fmt.Errorf("pe: GlobalFreeList requires the dynamic model, got %v", cfg.Model)
 	case cfg.QueueCap < 1 || cfg.QueueCap&(cfg.QueueCap-1) != 0:
 		return nil, fmt.Errorf("pe: QueueCap %d is not a positive power of two", cfg.QueueCap)
 	case cfg.ShutdownTimeout < 0:

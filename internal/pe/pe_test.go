@@ -81,6 +81,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(g, Config{Model: Manual, Elastic: true}); err == nil {
 		t.Error("elastic manual accepted")
 	}
+	for _, model := range []Model{Manual, Dedicated} {
+		if _, err := New(g, Config{Model: model, GlobalFreeList: true}); err == nil {
+			t.Errorf("%v: GlobalFreeList accepted by a model with no free list", model)
+		}
+	}
 	if _, err := New(g, Config{Threads: -2}); err == nil {
 		t.Error("negative threads accepted")
 	}

@@ -515,16 +515,12 @@ func (s *Scheduler) Edges() []Edge {
 	return edges
 }
 
-// NumPorts returns the number of input-port queues (the length
-// SampleFlow's slices must have).
-func (s *Scheduler) NumPorts() int { return len(s.queues) }
-
 // SampleFlow fills the per-port flow meters in one pass: current queue
 // occupancy, cumulative reSchedule entries, and cumulative nanoseconds
-// producers spent blocked inside reSchedule. Each slice must be
-// NumPorts() long; a nil slice skips that meter. Racy by design, like
-// Backlog: the values are an attribution signal, not an accounting
-// truth. O(ports), allocation-free.
+// producers spent blocked inside reSchedule. Each slice must hold one
+// entry per input port, indexed like Edges; a nil slice skips that
+// meter. Racy by design, like Backlog: the values are an attribution
+// signal, not an accounting truth. O(ports), allocation-free.
 func (s *Scheduler) SampleFlow(depth []int, resched, blockedNs []uint64) {
 	for i := range s.queues {
 		if depth != nil {

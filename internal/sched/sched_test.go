@@ -16,6 +16,16 @@ import (
 func runGraph(t *testing.T, g *graph.Graph, cfg Config, threads int) *Scheduler {
 	t.Helper()
 	s := New(g, cfg)
+	drainScheduler(t, s, threads)
+	return s
+}
+
+// drainScheduler starts threads scheduler threads and g's source
+// threads on s, and returns once the run has drained and every thread
+// has exited.
+func drainScheduler(t *testing.T, s *Scheduler, threads int) {
+	t.Helper()
+	g := s.g
 	s.Start(threads)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -36,7 +46,6 @@ func runGraph(t *testing.T, g *graph.Graph, cfg Config, threads int) *Scheduler 
 	}
 	close(stop)
 	wg.Wait()
-	return s
 }
 
 // newOrderSink returns a sink that appends each tuple's first payload

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -62,6 +63,9 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 		}
 		s.makePortFree(port, s.threads[0])
 	}
+	if err := checkHintConservation(s, true); err != nil {
+		t.Fatalf("after the forced spill: %v", err)
+	}
 	if got := s.Stats().Contention.Spill; got != spill {
 		t.Fatalf("moving %d hints into a %d-hint shard spilled %d, want %d", c+spill, c, got, spill)
 	}
@@ -116,11 +120,55 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	if got, want := s.Executed(), uint64(n*3); got != want {
 		t.Fatalf("Executed = %d, want %d", got, want)
 	}
+	if err := checkHintConservation(s, false); err != nil {
+		t.Fatalf("after the drain: %v", err)
+	}
 	cont := s.Stats().Contention
 	if cont.Spill == 0 {
 		t.Errorf("%d ports over %d-hint shards produced no spills; spill path untested", len(g.Ports), c)
 	}
 	t.Logf("contention after churn: %+v", cont)
+}
+
+// checkHintConservation checks the free structures at a quiescent
+// point, with no scheduler thread running: no port hint appears more
+// than once across the global list and the shards, and, when every is
+// set, each port appears exactly once — the state while every port is
+// open and no thread holds one. It reads each structure by emptying it
+// and pushing the hints back in their original order.
+func checkHintConservation(s *Scheduler, every bool) error {
+	count := make([]int, len(s.queues))
+	var hints []int32
+	for port := int32(0); s.freePorts.Pop(&port); {
+		hints = append(hints, port)
+	}
+	for _, p := range hints {
+		if !s.freePorts.Push(p) {
+			return fmt.Errorf("global free list refused hint %d on refill", p)
+		}
+		count[p]++
+	}
+	for i, d := range s.shards {
+		hints = hints[:0]
+		for port := int32(0); d.Steal(&port); {
+			hints = append(hints, port)
+		}
+		for _, p := range hints {
+			if !d.PushBottom(p) {
+				return fmt.Errorf("shard %d refused hint %d on refill", i, p)
+			}
+			count[p]++
+		}
+	}
+	for p, n := range count {
+		switch {
+		case n > 1:
+			return fmt.Errorf("port %d appears %d times across the free structures", p, n)
+		case every && n == 0:
+			return fmt.Errorf("port %d is on no free structure", p)
+		}
+	}
+	return nil
 }
 
 // TestShardedDrainOnShutdown checks the schedule-exit drain directly:

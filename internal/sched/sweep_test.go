@@ -14,7 +14,9 @@ import (
 // three scheduler threads, three topologies — a depth-8 pipeline, a
 // 20-wide two-deep fan-out wider than the slot table (maxSlots), and a
 // 3×3 grid — and GOMAXPROCS 1 and 2. Every cell must deliver exactly its
-// tuple count at the sink within its own deadline (runGraph's).
+// tuple count at the sink within its own deadline (drainScheduler's),
+// and its free structures must hold every port hint exactly once after
+// New and at most once after the drain.
 func TestConfigSweepDrains(t *testing.T) {
 	const n = 2000
 	topos := []struct {
@@ -43,10 +45,16 @@ func TestConfigSweepDrains(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							cfg := Config{QueueCap: qcap, MaxThreads: threads, GlobalFreeList: global}
-							runGraph(t, g, cfg, threads)
+							s := New(g, Config{QueueCap: qcap, MaxThreads: threads, GlobalFreeList: global})
+							if err := checkHintConservation(s, true); err != nil {
+								t.Fatalf("after New: %v", err)
+							}
+							drainScheduler(t, s, threads)
 							if got := snk.Count(); got != n {
 								t.Fatalf("sink saw %d tuples, want %d", got, n)
+							}
+							if err := checkHintConservation(s, false); err != nil {
+								t.Fatalf("after the drain: %v", err)
 							}
 						})
 					}

@@ -168,9 +168,6 @@ type VecProgram struct {
 // Prog returns the scalar program the plan was derived from.
 func (vp *VecProgram) Prog() *Program { return vp.prog }
 
-// NumSegs returns the segment count (equal to len(prog.Segs)).
-func (vp *VecProgram) NumSegs() int { return len(vp.segs) }
-
 // vecFrame tracks one open structured diamond during planning.
 type vecFrame struct {
 	pred       vlane
