@@ -187,14 +187,19 @@ obs-smoke:
 	@rm -f /tmp/streamsim-smoke /tmp/obs-smoke.out /tmp/flightrec-smoke.json
 	@echo obs-smoke ok
 
-# hot-sizes prints the machine-code size of the scheduler's and the
-# VM's hot loops as linked into cmd/streamsim. A refactor or deletion
-# that claims "the hot path did not move" runs it on the parent and on
-# the change and diffs the two tables: byte-identical symbols compiled
-# to the same code.
-HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|push|tryChain|tryFused|lockFusedRun|runFusedTuple|vecCompute|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard)|sched\.\(\*ctx\)\.deliver|exec\.\(\*Core\)\.executeSpan|vm\.\(\*Machine\)\.runSeg
+# hot-sizes prints the machine-code size of the scheduler's, the port
+# queues' and the VM's hot loops as linked into cmd/streamsim. A
+# refactor or deletion that claims "the hot path did not move" runs it
+# on the parent and on the change and diffs the two tables:
+# byte-identical symbols compiled to the same code. The generic queue
+# methods are named after their type shape, which holds spaces, so the
+# match is on the whole nm line and the shape prints as [shape]; a
+# queue method the compiler inlined everywhere has no symbol to list.
+HOT_SYMS = sched\.\(\*Scheduler\)\.(schedule|reSchedule|drainQueued|push|tryChain|tryFused|lockFusedRun|runFusedTuple|vecCompute|findWorkSharded|popLocal|steal|pollGlobal|makePortFree|drainShard)|sched\.\(\*ctx\)\.deliver|exec\.\(\*Core\)\.executeSpan|vm\.\(\*Machine\)\.runSeg|lfq\.\(\*SPSC\[.*\]\)\.(Push|PushN|Pop|PopN)|lfq\.\(\*Enforcer\[.*\]\)\.(Push|PushN)
 hot-sizes:
 	@mkdir -p .bench_build
 	@$(GO) build -o .bench_build/streamsim-sizes ./cmd/streamsim
-	@$(GO) tool nm -size .bench_build/streamsim-sizes | awk '$$4 ~ /($(HOT_SYMS))$$/ { printf "%6d  %s\n", $$2, $$4 }' | sort -k2
+	@$(GO) tool nm -size .bench_build/streamsim-sizes | awk '$$3 == "T" && $$0 ~ /($(HOT_SYMS))$$/ { \
+		name = $$0; sub(/^ *[0-9a-f]+ +[0-9]+ +T +/, "", name); sub(/\[go\.shape\..*\]\)/, "[shape])", name); \
+		printf "%6d  %s\n", $$2, name }' | sort -k2
 	@rm -f .bench_build/streamsim-sizes

@@ -36,10 +36,12 @@ type BatchSubmitter interface {
 	SubmitBatch(ts []tuple.Tuple, outPort int)
 }
 
-// SourceBatch is how many tuples a source that produces faster than it
-// is drained should gather before each SubmitBatch: the scheduler's own
-// batch size, so one call fills one queue batch.
-const SourceBatch = 32
+// BatchSize is the runtime's one tuple batch size: how many tuples a
+// source that produces faster than it is drained gathers before each
+// SubmitBatch, and the size of the dynamic scheduler's drain and
+// coalescing buffers and of a dedicated port thread's drain, so one
+// source call fills one queue batch.
+const BatchSize = 32
 
 // SubmitBatch submits ts in order on outPort: through out's SubmitBatch
 // when it has one, through one Submit per tuple otherwise (the manual and

@@ -27,7 +27,7 @@ type Enforcer[T any] struct {
 }
 
 // NewEnforcer returns an Enforcer around a fresh SPSC queue of the given
-// capacity (a power of two).
+// capacity (a power of two), whose ring is allocated at its first push.
 func NewEnforcer[T any](capacity int) *Enforcer[T] {
 	return &Enforcer[T]{queue: NewSPSC[T](capacity)}
 }

@@ -32,18 +32,27 @@ type cacheLinePad [128]byte
 // The scheduler guarantees the single-producer/single-consumer property
 // externally with the Enforcer try-locks; the queue itself does not check
 // it.
+//
+// The ring is allocated by the first Push or PushN, so a queue nothing
+// is ever pushed into (an idle port, or one whose tuples always run
+// inline) costs only its header. The allocating producer publishes the
+// ring with the same release store of the tail that publishes its first
+// element, and the consumer reads the ring only after it has observed
+// the tail move; Cap and Len never read it.
+//
+// Each side's index shares a cache line with that side's cached view of
+// the other index, so a push or pop writes one line; the two sides'
+// lines and the read-only ring header are kept apart by pads.
 type SPSC[T any] struct {
 	_        cacheLinePad
 	head     atomic.Uint64 // next slot to pop; owned by the consumer
+	tailSnap uint64        // consumer's cached view of tail
 	_        cacheLinePad
 	tail     atomic.Uint64 // next slot to push; owned by the producer
-	_        cacheLinePad
-	headSnap uint64 // producer's cached view of head
-	_        cacheLinePad
-	tailSnap uint64 // consumer's cached view of tail
+	headSnap uint64        // producer's cached view of head
 	_        cacheLinePad
 	mask     uint64
-	buf      []T
+	buf      []T // nil until the first push
 }
 
 // NewSPSC returns an empty queue with capacity for exactly cap elements.
@@ -52,14 +61,11 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	if capacity < 1 || capacity&(capacity-1) != 0 {
 		panic(fmt.Sprintf("lfq: SPSC capacity %d is not a positive power of two", capacity))
 	}
-	return &SPSC[T]{
-		mask: uint64(capacity - 1),
-		buf:  make([]T, capacity),
-	}
+	return &SPSC[T]{mask: uint64(capacity - 1)}
 }
 
 // Cap returns the fixed capacity of the queue.
-func (q *SPSC[T]) Cap() int { return len(q.buf) }
+func (q *SPSC[T]) Cap() int { return int(q.mask) + 1 }
 
 // Len returns a linearizable-at-some-instant count of queued elements.
 // It is intended for monitoring; concurrent pushes and pops may change
@@ -82,6 +88,9 @@ func (q *SPSC[T]) Push(v T) bool {
 		if t-q.headSnap > q.mask {
 			return false
 		}
+	}
+	if q.buf == nil { // first push: allocate the ring
+		q.buf = make([]T, q.mask+1)
 	}
 	q.buf[t&q.mask] = v
 	q.tail.Store(t + 1)
@@ -108,6 +117,9 @@ func (q *SPSC[T]) PushN(src []T) int {
 	}
 	if n == 0 {
 		return 0
+	}
+	if q.buf == nil { // first push: allocate the ring
+		q.buf = make([]T, capacity)
 	}
 	// The n slots starting at t wrap at most once; copy in two segments.
 	start := t & q.mask

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSPSCCapacityValidation(t *testing.T) {
@@ -23,6 +24,25 @@ func TestSPSCCapacityValidation(t *testing.T) {
 		if q.Cap() != good {
 			t.Errorf("Cap() = %d, want %d", q.Cap(), good)
 		}
+	}
+}
+
+// TestSPSCLayout pins the queue header: the consumer's words, the
+// producer's words and the ring header sit at least 128 bytes apart, and
+// the header is three pads, the four index words, the mask and the ring
+// slice (448 bytes on a 64-bit host), so an Enforcer and its queue
+// together allocate under 1 KiB.
+func TestSPSCLayout(t *testing.T) {
+	var q SPSC[int]
+	if d := unsafe.Offsetof(q.tail) - unsafe.Offsetof(q.tailSnap); d < 128 {
+		t.Fatalf("consumer and producer words are %d bytes apart, want >= 128", d)
+	}
+	if d := unsafe.Offsetof(q.mask) - unsafe.Offsetof(q.headSnap); d < 128 {
+		t.Fatalf("producer words and ring header are %d bytes apart, want >= 128", d)
+	}
+	want := 3*unsafe.Sizeof(cacheLinePad{}) + 5*unsafe.Sizeof(q.mask) + unsafe.Sizeof(q.buf)
+	if n := unsafe.Sizeof(q); n != want {
+		t.Fatalf("SPSC is %d bytes, want %d", n, want)
 	}
 }
 

@@ -67,7 +67,7 @@ func (g *Generator) Process(graph.Submitter, tuple.Tuple, int) {}
 // batch at a time; stop is polled between batches, so nothing generated
 // is ever left unsubmitted.
 func (g *Generator) Run(out graph.Submitter, stop <-chan struct{}) {
-	buf := make([]tuple.Tuple, 0, graph.SourceBatch)
+	buf := make([]tuple.Tuple, 0, graph.BatchSize)
 	for i := uint64(0); g.Limit == 0 || i < g.Limit; {
 		select {
 		case <-stop:

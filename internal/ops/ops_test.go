@@ -273,11 +273,11 @@ func (c *batchCollector) SubmitBatch(ts []tuple.Tuple, outPort int) {
 // generator hands over full batches and one short tail, every tuple
 // once and in order, and Produced counts only what was submitted.
 func TestGeneratorSubmitsBatches(t *testing.T) {
-	const n = 2*graph.SourceBatch + 6
+	const n = 2*graph.BatchSize + 6
 	g := &Generator{Limit: n}
 	c := &batchCollector{}
 	g.Run(c, make(chan struct{}))
-	if want := []int{graph.SourceBatch, graph.SourceBatch, 6}; len(c.sizes) != 3 || c.sizes[0] != want[0] || c.sizes[1] != want[1] || c.sizes[2] != want[2] {
+	if want := []int{graph.BatchSize, graph.BatchSize, 6}; len(c.sizes) != 3 || c.sizes[0] != want[0] || c.sizes[1] != want[1] || c.sizes[2] != want[2] {
 		t.Fatalf("batch sizes %v, want %v", c.sizes, want)
 	}
 	for i, tp := range c.got {

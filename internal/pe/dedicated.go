@@ -60,10 +60,6 @@ func (r *dedicatedRunner) start() error {
 	return nil
 }
 
-// dedicatedBatch is the drain-batch size for dedicated port threads,
-// matching the dynamic scheduler's cap.
-const dedicatedBatch = 32
-
 // portLoop is one dedicated thread: consume the port's queue forever in
 // batches, backing off exponentially while it is empty, until the port
 // closes or the PE shuts down. Batching reuses the scheduler's batch
@@ -71,11 +67,7 @@ const dedicatedBatch = 32
 // indices, and one counter charge, per batch instead of per tuple.
 func (r *dedicatedRunner) portLoop(p *graph.InPort) {
 	q := r.queues[p.ID].Queue() // sole consumer: no consumer lock needed
-	batchCap := dedicatedBatch
-	if c := q.Cap(); c < batchCap {
-		batchCap = c
-	}
-	buf := make([]tuple.Tuple, batchCap)
+	buf := make([]tuple.Tuple, min(q.Cap(), graph.BatchSize))
 	ec := &dedicatedCtx{r: r, node: p.Node}
 	delay := time.Microsecond
 	for {

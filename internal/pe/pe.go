@@ -97,7 +97,9 @@ type Config struct {
 	Trace func(Sample)
 	// QueueCap is the per-input-port queue capacity of the dedicated and
 	// dynamic models; it must be a power of two. Default
-	// sched.DefaultQueueCap.
+	// sched.DefaultQueueCap (512). A port's ring is allocated at its
+	// first push, so a port that never queues costs no ring; a graph
+	// whose memory is tight can still set a smaller capacity.
 	QueueCap int
 	// Fault installs a chaos injector, consulted at the operator and
 	// queue seams of whichever runner executes the graph. Nil (the

@@ -183,7 +183,7 @@ func TestStopUnboundedRun(t *testing.T) {
 		t.Run(model.String(), func(t *testing.T) {
 			snk := &ops.Sink{}
 			g := pipelineGraph(t, 5, 0, snk)
-			p, err := New(g, Config{Model: model, Threads: 2, MaxThreads: 2})
+			p, err := New(g, Config{Model: model, Threads: 2, MaxThreads: 2, ShutdownTimeout: 5 * time.Second})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,6 +203,9 @@ func TestStopUnboundedRun(t *testing.T) {
 			case <-done:
 			case <-time.After(30 * time.Second):
 				t.Fatalf("%v: Stop hung", model)
+			}
+			if err := p.Err(); err != nil {
+				t.Fatalf("%v: %v", model, err)
 			}
 			if snk.Count() == 0 {
 				t.Fatalf("%v: nothing delivered", model)
@@ -226,6 +229,8 @@ func TestElasticAdaptsLevel(t *testing.T) {
 		MaxThreads:  4,
 		AdaptPeriod: 30 * time.Millisecond,
 		CPUUsage:    cpuutil.Fixed(0.1),
+		// A stall at a suspension shows up as a missed deadline.
+		ShutdownTimeout: 5 * time.Second,
 		Trace: func(s Sample) {
 			mu.Lock()
 			samples = append(samples, s)
@@ -252,6 +257,9 @@ func TestElasticAdaptsLevel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	p.Stop()
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	levelChanged := false
@@ -277,12 +285,13 @@ func TestElasticCPUGateHolds(t *testing.T) {
 	snk := &ops.Sink{}
 	g := pipelineGraph(t, 5, 0, snk)
 	p, err := New(g, Config{
-		Model:       Dynamic,
-		Threads:     1,
-		Elastic:     true,
-		MaxThreads:  8,
-		AdaptPeriod: 20 * time.Millisecond,
-		CPUUsage:    cpuutil.Fixed(0.99),
+		Model:           Dynamic,
+		Threads:         1,
+		Elastic:         true,
+		MaxThreads:      8,
+		AdaptPeriod:     20 * time.Millisecond,
+		CPUUsage:        cpuutil.Fixed(0.99),
+		ShutdownTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +306,9 @@ func TestElasticCPUGateHolds(t *testing.T) {
 		t.Fatalf("level %d grew despite saturated CPU gate", got)
 	}
 	p.Stop()
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestDoubleStartRejected(t *testing.T) {

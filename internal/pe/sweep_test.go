@@ -196,8 +196,9 @@ func testSettingsReachConsumers(t *testing.T) {
 	var gated, traced atomic.Int64
 	p, err := New(g, Config{
 		Threads: 2, MaxThreads: 4, Elastic: true, AdaptPeriod: 5 * time.Millisecond,
-		CPUUsage: func() (float64, error) { gated.Add(1); return 0.1, nil },
-		Trace:    func(Sample) { traced.Add(1) },
+		CPUUsage:        func() (float64, error) { gated.Add(1); return 0.1, nil },
+		Trace:           func(Sample) { traced.Add(1) },
+		ShutdownTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,6 +215,9 @@ func testSettingsReachConsumers(t *testing.T) {
 		}
 	}
 	p.Stop()
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // deadlineSource is a bounded Generator that records the drain deadline

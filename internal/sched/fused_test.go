@@ -34,7 +34,7 @@ func progPipelineGraph(t *testing.T, depth int, limit uint64, cost int, snk *ops
 func paceSource(g *graph.Graph, snk *ops.Sink) {
 	gen := g.SourceNodes[0].Op.(*ops.Generator)
 	gen.Payload = func(i uint64) tuple.Tuple {
-		for i%graph.SourceBatch == 0 && snk.Count() < i {
+		for i%graph.BatchSize == 0 && snk.Count() < i {
 			runtime.Gosched()
 		}
 		return tuple.NewData(i)

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,23 +14,15 @@ import (
 	"streams/internal/tuple"
 )
 
-// TestShardedResizeNoStrandedPorts churns the thread level across its
-// whole range while a data-parallel graph wider than the shard capacity
-// runs, so shards spill, and asserts that every tuple is delivered:
-// a port hint stranded in a suspended thread's shard would stall the
-// drain and fail the runGraph timeout, and a lost or duplicated hint
-// shows up as a wrong sink count. Run under -race this doubles as the
-// concurrency check on the drain-vs-steal protocol.
-func TestShardedResizeNoStrandedPorts(t *testing.T) {
-	const (
-		n     = 100000
-		width = 1000
-	)
+// wideSplitGraph is a source of limit tuples split round-robin over
+// 1000 workers that merge into snk: 1002 input ports.
+func wideSplitGraph(t *testing.T, limit uint64, snk *ops.Sink) *graph.Graph {
+	t.Helper()
+	const width = 1000
 	b := graph.NewBuilder()
-	src := b.AddNode(&ops.Generator{Limit: n}, 0, 1)
+	src := b.AddNode(&ops.Generator{Limit: limit}, 0, 1)
 	split := b.AddNode(&ops.RoundRobinSplit{Width: width}, 1, width)
 	b.Connect(src, 0, split, 0)
-	snk := &ops.Sink{}
 	sn := b.AddNode(snk, 1, 0)
 	for w := 0; w < width; w++ {
 		wk := b.AddNode(&ops.Worker{}, 1, 1)
@@ -40,6 +33,41 @@ func TestShardedResizeNoStrandedPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// TestNewAllocatesNoRings checks that New leaves every queue's ring to
+// its first push: on the 1002-port graph, with the default 512-deep
+// queues that would cost about 53 MB built eagerly, New allocates under
+// 2 MiB.
+func TestNewAllocatesNoRings(t *testing.T) {
+	g := wideSplitGraph(t, 0, &ops.Sink{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(g, Config{MaxThreads: 6})
+	runtime.ReadMemStats(&after)
+	if s.cfg.QueueCap != DefaultQueueCap {
+		t.Fatalf("QueueCap %d, want the default %d", s.cfg.QueueCap, DefaultQueueCap)
+	}
+	b := after.TotalAlloc - before.TotalAlloc
+	if b >= 2<<20 {
+		t.Fatalf("New allocated %d bytes on %d ports, want < 2 MiB", b, len(g.Ports))
+	}
+	t.Logf("New allocated %d bytes on %d ports", b, len(g.Ports))
+	runtime.KeepAlive(s)
+}
+
+// TestShardedResizeNoStrandedPorts churns the thread level across its
+// whole range while a data-parallel graph wider than the shard capacity
+// runs, so shards spill, and asserts that every tuple is delivered:
+// a port hint stranded in a suspended thread's shard would stall the
+// drain and fail the runGraph timeout, and a lost or duplicated hint
+// shows up as a wrong sink count. Run under -race this doubles as the
+// concurrency check on the drain-vs-steal protocol.
+func TestShardedResizeNoStrandedPorts(t *testing.T) {
+	const n = 100000
+	snk := &ops.Sink{}
+	g := wideSplitGraph(t, n, snk)
 
 	// 1002 ports are more than the 256-hint shards of any three running
 	// threads can hold, so the spill path can run; MaxThreads 6 gives the

@@ -10,7 +10,7 @@ import (
 
 // TestConfigSweepDrains is the "accepted by New ⇒ drains" property over
 // what Config still varies: every queue capacity class (1 makes every
-// push contend, 64 is the default), both free-list designs, one to
+// push contend, 64 holds two full batches), both free-list designs, one to
 // three scheduler threads, three topologies — a depth-8 pipeline, a
 // 20-wide two-deep fan-out wider than the slot table (maxSlots), and a
 // 3×3 grid — and GOMAXPROCS 1 and 2. Every cell must deliver exactly its

@@ -877,7 +877,7 @@ func (b *beaconOp) tup(i int64) Tup {
 }
 
 // sourceRows is the emit side both SPL sources share: rows gather into
-// one SourceBatch-sized submit, and their payloads are *Rec rows of a
+// one BatchSize-sized submit, and their payloads are *Rec rows of a
 // columnar Frame (frame.go) rather than a Tup map per tuple — the form
 // bytecode consumers load positionally and closure consumers
 // materialize through refTup. A source whose tuple type has a
@@ -891,7 +891,7 @@ type sourceRows struct {
 }
 
 func newSourceRows(typ TupleType) *sourceRows {
-	r := &sourceRows{buf: make([]tuple.Tuple, 0, graph.SourceBatch)}
+	r := &sourceRows{buf: make([]tuple.Tuple, 0, graph.BatchSize)}
 	if layout, ok := vmLayoutOf(typ); ok {
 		r.layout, r.vals = layout, make([]vm.Val, len(layout.Fields))
 	}

@@ -139,7 +139,10 @@ type RunConfig struct {
 	// Deploy every PE calls it, once per PE per period, so it may be
 	// called concurrently.
 	Trace func(Sample)
-	// QueueCap overrides the per-port queue capacity (power of two).
+	// QueueCap overrides the per-port queue capacity (power of two;
+	// default 512). A port's ring is allocated at its first push, so a
+	// port that never queues costs no ring; a graph whose memory is
+	// tight can set a smaller capacity.
 	QueueCap int
 	// CPUUsage overrides the CPU gate reading in [0,1]; nil reads
 	// /proc/stat.
